@@ -29,6 +29,7 @@ fuzz:
 
 bench:
 	$(GO) test -run xxx -bench . -benchmem -benchtime 50x .
+	$(GO) test -run xxx -bench Evaluate -benchmem ./internal/sim
 
 check:
 	sh scripts/check.sh

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"repro/internal/stats"
 	"repro/internal/topo"
 	"repro/internal/tree"
 )
@@ -112,5 +113,175 @@ func TestRangeQueryDetectsEmptyBucket(t *testing.T) {
 	p.buckets[pos.Channel-1][pos.Slot-1] = Bucket{Node: tree.None}
 	if _, err := p.QueryRange(0, 1, 2, Power{Active: 1}); err == nil {
 		t.Fatal("empty bucket went undetected by range scan")
+	}
+}
+
+// assertEvaluateFails checks that Evaluate and EvaluatePerItem fail on p
+// with the sentinel, as the per-query oracle does.
+func assertEvaluateFails(t *testing.T, p *Program, sentinel error) {
+	t.Helper()
+	_, want := oracleEvaluate(p, testPower, FaultConfig{})
+	if !errors.Is(want, sentinel) {
+		t.Fatalf("oracle error %v, want %v", want, sentinel)
+	}
+	if _, err := Evaluate(p, testPower); !errors.Is(err, sentinel) {
+		t.Fatalf("Evaluate error %v, oracle %v", err, want)
+	}
+	_, want = oracleEvaluatePerItem(p, testPower)
+	if !errors.Is(want, sentinel) {
+		t.Fatalf("per-item oracle error %v, want %v", want, sentinel)
+	}
+	if _, err := EvaluatePerItem(p, testPower); !errors.Is(err, sentinel) {
+		t.Fatalf("EvaluatePerItem error %v, oracle %v", err, want)
+	}
+}
+
+func TestEvaluateDetectsDanglingPointer(t *testing.T) {
+	t.Run("root", func(t *testing.T) {
+		p := corruptedProgram(t)
+		pos := p.slotOf[p.Tree().Root()]
+		p.buckets[pos.Channel-1][pos.Slot-1].Children[0].Offset += 2
+		assertEvaluateFails(t, p, ErrBrokenPointer)
+	})
+	t.Run("below the first hop", func(t *testing.T) {
+		p := corruptedProgram(t)
+		tr := p.Tree()
+		deep := tree.None
+		for _, c := range tr.Children(tr.Root()) {
+			if tr.IsIndex(c) {
+				deep = c
+			}
+		}
+		if deep == tree.None {
+			t.Fatal("root has no index child")
+		}
+		pos := p.slotOf[deep]
+		p.buckets[pos.Channel-1][pos.Slot-1].Children[0].Offset++
+		assertEvaluateFails(t, p, ErrBrokenPointer)
+	})
+}
+
+func TestEvaluateDetectsMissingRootAtCycleStart(t *testing.T) {
+	p := corruptedProgram(t)
+	p.buckets[0][0] = Bucket{Node: tree.None, NextCycle: p.cycleLen}
+	assertEvaluateFails(t, p, ErrMissingRoot)
+}
+
+func TestEvaluateDetectsPointerToWrongNode(t *testing.T) {
+	p := corruptedProgram(t)
+	pos := p.slotOf[p.Tree().Root()]
+	b := &p.buckets[pos.Channel-1][pos.Slot-1]
+	b.Children[0].Target, b.Children[1].Target = b.Children[1].Target, b.Children[0].Target
+	assertEvaluateFails(t, p, ErrBrokenPointer)
+}
+
+// rootCopyProgram compiles a sparse allocation of the example tree with
+// root copies and returns it with the channel-1 slot of its last copy.
+func rootCopyProgram(t *testing.T) (*Program, int) {
+	t.Helper()
+	a := sparseAllocation(t, tree.Fig1(), 2, stats.NewRNG(1))
+	p, err := Compile(a, Options{FillWithRootCopies: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for s := p.cycleLen; s > 1; s-- {
+		if p.buckets[0][s-1].RootCopy {
+			return p, s
+		}
+	}
+	t.Fatal("program has no root copy")
+	return nil, 0
+}
+
+func TestEvaluateDetectsBrokenRootCopy(t *testing.T) {
+	p, s := rootCopyProgram(t)
+	// Only arrivals that start from this copy follow the broken pointer.
+	p.buckets[0][s-1].Children[0].Offset++
+	assertEvaluateFails(t, p, ErrBrokenPointer)
+}
+
+// TestEvaluateRootCopyMissingPointer: a root copy without a pointer to
+// one child makes queries below that child end as negative lookups at the
+// copy. That is no error for the per-query protocol, and Evaluate must
+// charge exactly what the protocol charges.
+func TestEvaluateRootCopyMissingPointer(t *testing.T) {
+	p, s := rootCopyProgram(t)
+	b := &p.buckets[0][s-1]
+	b.Children = b.Children[1:]
+	want, err := oracleEvaluate(p, testPower, FaultConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := Evaluate(p, testPower); err != nil || got != want {
+		t.Fatalf("Evaluate = %+v, %v; oracle %+v", got, err, want)
+	}
+}
+
+func TestEvaluateDetectsRemappedRootChannel(t *testing.T) {
+	p := corruptedProgram(t)
+	q, err := p.Remap([]int{2, 3}, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if q.RootChannel() == 1 {
+		t.Fatal("remapped root channel is 1")
+	}
+	// The client probes channel 1, which now airs only filler.
+	assertEvaluateFails(t, q, ErrMissingRoot)
+}
+
+// TestEvaluateReplicatedChildBucket: one root copy points at a second
+// airing of a root child, placed in another slot of the same channel. Its
+// queries descend through that airing, the others through the primary
+// one, and Evaluate must charge each path what the protocol charges.
+func TestEvaluateReplicatedChildBucket(t *testing.T) {
+	p, s := rootCopyProgram(t)
+	copyBucket := &p.buckets[0][s-1]
+	ptr := &copyBucket.Children[0]
+	x := (s-1+ptr.Offset)%p.cycleLen + 1
+	orig := p.buckets[ptr.Channel-1][x-1]
+	y := 0
+	for slot := 1; slot <= p.cycleLen; slot++ {
+		b := p.buckets[ptr.Channel-1][slot-1]
+		if slot != x && slot != s && (b.Node == tree.None || b.RootCopy) {
+			y = slot
+		}
+	}
+	if y == 0 {
+		t.Fatal("no free slot for the second airing")
+	}
+	wrap := func(off int) int {
+		if off <= 0 {
+			off += p.cycleLen
+		}
+		return off
+	}
+	dup := Bucket{Node: orig.Node, NextCycle: p.cycleLen - y + 1}
+	for _, c := range orig.Children {
+		c.Offset = wrap(x + c.Offset - y)
+		dup.Children = append(dup.Children, c)
+	}
+	p.buckets[ptr.Channel-1][y-1] = dup
+	ptr.Offset = wrap(y - s)
+
+	want, err := oracleEvaluate(p, testPower, FaultConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := Evaluate(p, testPower); err != nil || got != want {
+		t.Fatalf("Evaluate = %+v, %v; oracle %+v", got, err, want)
+	}
+	wantItems, err := oracleEvaluatePerItem(p, testPower)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotItems, err := EvaluatePerItem(p, testPower)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range wantItems {
+		if gotItems[i] != wantItems[i] {
+			t.Fatalf("item %d = %+v, oracle %+v", i, gotItems[i], wantItems[i])
+		}
 	}
 }

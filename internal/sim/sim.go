@@ -301,7 +301,17 @@ func (p *Program) QueryFaulty(arrival int, target tree.ID, pw Power, fc FaultCon
 	if !p.t.IsData(target) {
 		return Metrics{}, fmt.Errorf("sim: target %s is not a data node", p.t.Label(target))
 	}
-	m, _, err := p.run(arrival, fc, func(b Bucket) (tree.ID, bool) {
+	m, _, err := p.run(arrival, fc, p.toward(target), pw)
+	if err != nil {
+		return Metrics{}, err
+	}
+	return m, nil
+}
+
+// toward is the descent rule for a query on data node target: stop at the
+// target's bucket, otherwise chase the first child covering it.
+func (p *Program) toward(target tree.ID) func(Bucket) (tree.ID, bool) {
+	return func(b Bucket) (tree.ID, bool) {
 		if b.Node == target {
 			return tree.None, true
 		}
@@ -311,11 +321,7 @@ func (p *Program) QueryFaulty(arrival int, target tree.ID, pw Power, fc FaultCon
 			}
 		}
 		return tree.None, false
-	}, pw)
-	if err != nil {
-		return Metrics{}, err
 	}
-	return m, nil
 }
 
 // QueryKey retrieves the data item with the given key on a keyed tree.
@@ -376,60 +382,87 @@ func (p *Program) readAt(m *Metrics, fc FaultConfig, ch, slot int) (int, Bucket,
 // next child to chase or done=true when the current bucket is the answer.
 func (p *Program) run(arrival int, fc FaultConfig, descend func(Bucket) (next tree.ID, done bool), pw Power) (Metrics, bool, error) {
 	var m Metrics
-	// The initial probe read; on a lossy channel it may take several
-	// cycles to hear any channel-1 bucket at all.
-	now, b, err := p.readAt(&m, fc, 1, arrival)
+	now, b, err := p.probe(&m, fc, arrival)
 	if err != nil {
 		return m, false, err
 	}
+	end, found, err := p.descend(&m, fc, now, b, 0, descend)
+	if err != nil {
+		return m, false, err
+	}
+	m.DataWait = end - now + 1
+	m.finish(pw)
+	return m, found, nil
+}
 
-	descentStart := now
+// probe runs the client's arrival on channel 1: read the bucket on air,
+// and unless it is the root or a root copy, doze to the next cycle start
+// and read the root there. It returns the slot and bucket the descent
+// starts from and sets m.ProbeWait.
+func (p *Program) probe(m *Metrics, fc FaultConfig, arrival int) (int, Bucket, error) {
+	// The initial probe read; on a lossy channel it may take several
+	// cycles to hear any channel-1 bucket at all.
+	now, b, err := p.readAt(m, fc, 1, arrival)
+	if err != nil {
+		return 0, Bucket{}, err
+	}
 	if !(b.RootCopy || (b.Node != tree.None && b.Node == p.t.Root())) {
 		// Doze until the next cycle start, then read the root bucket.
-		if now, b, err = p.readAt(&m, fc, 1, now+b.NextCycle); err != nil {
-			return m, false, err
+		if now, b, err = p.readAt(m, fc, 1, now+b.NextCycle); err != nil {
+			return 0, Bucket{}, err
 		}
-		descentStart = now
 		if !(b.RootCopy || b.Node == p.t.Root()) {
-			return m, false, fmt.Errorf("%w (got %v)", ErrMissingRoot, b.Node)
+			return 0, Bucket{}, fmt.Errorf("%w (got %v)", ErrMissingRoot, b.Node)
 		}
 	}
 	// ProbeWait is everything before the root bucket the descent started
 	// from — including whole cycles lost to unreadable probes.
-	m.ProbeWait = descentStart - arrival
+	m.ProbeWait = now - arrival
+	return now, b, nil
+}
 
-	for hops := 0; hops <= p.t.NumNodes()+1; hops++ {
-		next, done := descend(b)
-		if done {
-			m.DataWait = now - descentStart + 1
-			m.finish(pw)
-			return m, true, nil
+// descend follows pointers chosen by step from bucket b, read at slot now
+// as the descent's hop-th bucket, until step reports done (found) or finds
+// no covering child (a negative lookup). It returns the slot of the last
+// bucket read.
+func (p *Program) descend(m *Metrics, fc FaultConfig, now int, b Bucket, hop int, step func(Bucket) (next tree.ID, done bool)) (int, bool, error) {
+	for ; hop <= p.t.NumNodes()+1; hop++ {
+		next, done := step(b)
+		if done || next == tree.None {
+			return now, done, nil
 		}
-		if next == tree.None {
-			// Negative lookup: no child covers the request.
-			m.DataWait = now - descentStart + 1
-			m.finish(pw)
-			return m, false, nil
-		}
-		var ptr *Pointer
-		for i := range b.Children {
-			if b.Children[i].Target == next {
-				ptr = &b.Children[i]
-				break
-			}
-		}
-		if ptr == nil {
-			return m, false, fmt.Errorf("%w: bucket %v has no pointer to %s", ErrBrokenPointer, b.Node, p.t.Label(next))
-		}
-		if now, b, err = p.readAt(&m, fc, ptr.Channel, now+ptr.Offset); err != nil {
-			return m, false, err
-		}
-		if b.Node != next {
-			return m, false, fmt.Errorf("%w: pointer to %s found %v at channel %d slot %d",
-				ErrBrokenPointer, p.t.Label(next), b.Node, ptr.Channel, p.slotInCycle(now))
+		var err error
+		if _, now, err = p.follow(m, fc, now, &b, next); err != nil {
+			return 0, false, err
 		}
 	}
-	return m, false, fmt.Errorf("sim: descent did not terminate")
+	return 0, false, fmt.Errorf("sim: descent did not terminate")
+}
+
+// follow reads the bucket that b's pointer to next addresses, b having
+// been read at slot now, checks it holds next, and replaces b with it. It
+// returns the channel and slot of the read.
+func (p *Program) follow(m *Metrics, fc FaultConfig, now int, b *Bucket, next tree.ID) (int, int, error) {
+	var ptr *Pointer
+	for i := range b.Children {
+		if b.Children[i].Target == next {
+			ptr = &b.Children[i]
+			break
+		}
+	}
+	if ptr == nil {
+		return 0, 0, fmt.Errorf("%w: bucket %v has no pointer to %s", ErrBrokenPointer, b.Node, p.t.Label(next))
+	}
+	now, got, err := p.readAt(m, fc, ptr.Channel, now+ptr.Offset)
+	if err != nil {
+		return 0, 0, err
+	}
+	if got.Node != next {
+		return 0, 0, fmt.Errorf("%w: pointer to %s found %v at channel %d slot %d",
+			ErrBrokenPointer, p.t.Label(next), got.Node, ptr.Channel, p.slotInCycle(now))
+	}
+	*b = got
+	return ptr.Channel, now, nil
 }
 
 // Summary aggregates weighted-average metrics over arrivals and targets.
@@ -458,7 +491,10 @@ type Summary struct {
 
 // Evaluate computes the exact expected metrics of the program: a query
 // arrives uniformly at every cycle phase and requests data node D with
-// probability W(D)/ΣW. All averages are exact sums, not samples.
+// probability W(D)/ΣW. All averages are exact sums, not samples. It costs
+// O(Σ depth + root copies × fanout) pointer reads plus O(n·L) integer
+// work for n data nodes and cycle length L (see EvaluateFaulty), and is
+// bit-identical to averaging Query over every (target, phase).
 func Evaluate(p *Program, pw Power) (Summary, error) {
 	return EvaluateFaulty(p, pw, FaultConfig{})
 }
@@ -467,6 +503,15 @@ func Evaluate(p *Program, pw Power) (Summary, error) {
 // channel: the same weighted average, with every query paying the
 // deterministic per-slot losses of fc.Model. Averaging over several model
 // seeds approximates the expectation over channel noise.
+//
+// When no read can be lost (fc.Model.Drop and Corrupt are 0; stalls never
+// move the slot clock) each query factors into a phase start, a first hop
+// and a per-target suffix that are computed once and reused, so the loop
+// over (target, phase) only adds integers. The result is bit-identical to
+// averaging QueryFaulty over every (target, phase) in catalog order, and
+// a corrupted program fails with the error the first failing query would
+// return. A lossy model draws a fresh outcome for every absolute slot, so
+// no two queries share a cost; it runs QueryFaulty per (target, phase).
 func EvaluateFaulty(p *Program, pw Power, fc FaultConfig) (Summary, error) {
 	var s Summary
 	total := p.t.TotalWeight()
@@ -474,21 +519,42 @@ func EvaluateFaulty(p *Program, pw Power, fc FaultConfig) (Summary, error) {
 		return s, fmt.Errorf("sim: zero total weight")
 	}
 	phases := float64(p.cycleLen)
+	if !fc.lossless() {
+		for _, d := range p.t.DataIDs() {
+			w := p.t.Weight(d) / total
+			for a := 0; a < p.cycleLen; a++ {
+				m, err := p.QueryFaulty(a, d, pw, fc)
+				if err != nil {
+					return s, err
+				}
+				s.ProbeWait += w * float64(m.ProbeWait) / phases
+				s.DataWait += w * float64(m.DataWait) / phases
+				s.AccessTime += w * float64(m.AccessTime) / phases
+				s.TuningTime += w * float64(m.TuningTime) / phases
+				s.Retries += w * float64(m.Retries) / phases
+				s.Restarts += w * float64(m.Restarts) / phases
+				s.Failovers += w * float64(m.Failovers) / phases
+				s.Reconnects += w * float64(m.Reconnects) / phases
+				s.Energy += w * m.Energy / phases
+			}
+		}
+		return s, nil
+	}
+	// Retries, Restarts, Failovers and Reconnects are zero on every query
+	// here, so their sums stay +0 as in the per-query loop.
+	ev := newEvaluator(p)
+	var m Metrics
 	for _, d := range p.t.DataIDs() {
 		w := p.t.Weight(d) / total
+		ev.target(d)
 		for a := 0; a < p.cycleLen; a++ {
-			m, err := p.QueryFaulty(a, d, pw, fc)
-			if err != nil {
+			if err := ev.query(&m, a, pw); err != nil {
 				return s, err
 			}
 			s.ProbeWait += w * float64(m.ProbeWait) / phases
 			s.DataWait += w * float64(m.DataWait) / phases
 			s.AccessTime += w * float64(m.AccessTime) / phases
 			s.TuningTime += w * float64(m.TuningTime) / phases
-			s.Retries += w * float64(m.Retries) / phases
-			s.Restarts += w * float64(m.Restarts) / phases
-			s.Failovers += w * float64(m.Failovers) / phases
-			s.Reconnects += w * float64(m.Reconnects) / phases
 			s.Energy += w * m.Energy / phases
 		}
 	}
@@ -506,18 +572,21 @@ type ItemMetrics struct {
 // EvaluatePerItem computes each data item's exact expected metrics over a
 // uniform arrival phase — the operator's view of which items suffer the
 // worst latency under the current allocation. Items are returned in
-// catalog (preorder) order.
+// catalog (preorder) order. It uses Evaluate's factoring and is
+// bit-identical to averaging Query over every phase.
 func EvaluatePerItem(p *Program, pw Power) ([]ItemMetrics, error) {
 	phases := float64(p.cycleLen)
 	out := make([]ItemMetrics, 0, p.t.NumData())
+	ev := newEvaluator(p)
+	var m Metrics
 	for _, d := range p.t.DataIDs() {
 		im := ItemMetrics{Label: p.t.Label(d), Weight: p.t.Weight(d)}
 		if k, ok := p.t.Key(d); ok {
 			im.Key = k
 		}
+		ev.target(d)
 		for a := 0; a < p.cycleLen; a++ {
-			m, err := p.Query(a, d, pw)
-			if err != nil {
+			if err := ev.query(&m, a, pw); err != nil {
 				return nil, err
 			}
 			im.DataWait += float64(m.DataWait) / phases

@@ -393,27 +393,6 @@ func BenchmarkQuery(b *testing.B) {
 	}
 }
 
-func BenchmarkEvaluate(b *testing.B) {
-	tr, err := workload.FullMAry(4, 3, stats.Normal{Mu: 100, Sigma: 20}, stats.NewRNG(1))
-	if err != nil {
-		b.Fatal(err)
-	}
-	a, err := heuristic.AllocateSorted(tr, 3)
-	if err != nil {
-		b.Fatal(err)
-	}
-	p, err := Compile(a, Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := Evaluate(p, testPower); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // TestEvaluatePerItemConsistent: the weighted average of the per-item
 // metrics must equal the aggregate Evaluate, and each item's mean data
 // wait equals its slot for non-replicated programs.
