@@ -30,6 +30,7 @@ fuzz:
 bench:
 	$(GO) test -run xxx -bench . -benchmem -benchtime 50x .
 	$(GO) test -run xxx -bench Evaluate -benchmem ./internal/sim
+	$(GO) test -run xxx -bench HuTucker -benchmem ./internal/alphatree
 
 check:
 	sh scripts/check.sh

@@ -16,6 +16,7 @@ import (
 	"math"
 	"sort"
 
+	"repro/internal/pqueue"
 	"repro/internal/tree"
 )
 
@@ -31,6 +32,7 @@ func validate(items []Item, needKeys bool) error {
 	if len(items) == 0 {
 		return fmt.Errorf("alphatree: no items")
 	}
+	var total float64
 	for i, it := range items {
 		if it.Weight < 0 || math.IsNaN(it.Weight) || math.IsInf(it.Weight, 0) {
 			return fmt.Errorf("alphatree: item %d has invalid weight %v", i, it.Weight)
@@ -38,6 +40,10 @@ func validate(items []Item, needKeys bool) error {
 		if needKeys && i > 0 && items[i-1].Key >= it.Key {
 			return fmt.Errorf("alphatree: keys not strictly ascending at item %d", i)
 		}
+		total += it.Weight
+	}
+	if math.IsInf(total, 1) {
+		return fmt.Errorf("alphatree: total weight overflows float64")
 	}
 	return nil
 }
@@ -135,8 +141,10 @@ func Huffman(items []Item) (*tree.Tree, error) {
 
 // HuTucker builds the optimal alphabetic binary search tree with the
 // Hu–Tucker algorithm [HT71]: a combination phase over compatible pairs,
-// level assignment, and stack reconstruction. O(n²). The result preserves
-// key order, so it is keyed and usable as a broadcast search index.
+// level assignment, and stack reconstruction. The combination phase costs
+// O(n log n) heap work plus the lengths of the segments it rescans, O(n²)
+// in the worst case. The result preserves key order, so it is keyed and
+// usable as a broadcast search index.
 func HuTucker(items []Item) (*tree.Tree, error) {
 	if err := validate(items, true); err != nil {
 		return nil, err
@@ -146,57 +154,35 @@ func HuTucker(items []Item) (*tree.Tree, error) {
 		return toTree(items, &shape{leaf: 0}, true)
 	}
 
-	// Phase 1: combination. work holds the current node sequence; external
-	// nodes block compatibility, internal nodes are transparent.
-	type cn struct {
-		w        float64
-		external bool
-		leaf     int
-		l, r     *cn
-	}
-	work := make([]*cn, n)
-	for i, it := range items {
-		work[i] = &cn{w: it.Weight, external: true, leaf: i}
-	}
-	for len(work) > 1 {
-		bi, bj := -1, -1
-		best := math.Inf(1)
-		for i := 0; i < len(work); i++ {
-			for j := i + 1; j < len(work); j++ {
-				sum := work[i].w + work[j].w
-				if sum < best {
-					bi, bj, best = i, j, sum
-				}
-				if work[j].external {
-					break // further pairs from i are incompatible
-				}
-			}
-		}
-		merged := &cn{w: best, l: work[bi], r: work[bj]}
-		work[bi] = merged
-		work = append(work[:bj], work[bj+1:]...)
-	}
+	// Phase 1: combination.
+	left, right := combine(items)
 
 	// Phase 2: leaf levels from the combination tree.
 	levels := make([]int, n)
-	var walk func(c *cn, depth int)
-	walk = func(c *cn, depth int) {
-		if c.external {
-			levels[c.leaf] = depth
+	var walk func(id int32, depth int)
+	walk = func(id int32, depth int) {
+		if int(id) < n {
+			levels[id] = depth
 			return
 		}
-		walk(c.l, depth+1)
-		walk(c.r, depth+1)
+		walk(left[int(id)-n], depth+1)
+		walk(right[int(id)-n], depth+1)
 	}
-	walk(work[0], 0)
+	walk(int32(2*n-2), 0)
+	return fromLevels(items, levels)
+}
 
-	// Phase 3: stack reconstruction of the alphabetic tree from levels.
+// fromLevels is Hu–Tucker's phase 3: stack reconstruction of the
+// alphabetic tree whose leaves sit at the given levels. It fails when no
+// such tree exists, which rounding in the combination phase's float sums
+// can cause on weights a few ulps apart.
+func fromLevels(items []Item, levels []int) (*tree.Tree, error) {
 	type se struct {
 		s     *shape
 		level int
 	}
 	var stack []se
-	for i := 0; i < n; i++ {
+	for i := range items {
 		stack = append(stack, se{&shape{leaf: i}, levels[i]})
 		for len(stack) >= 2 && stack[len(stack)-1].level == stack[len(stack)-2].level {
 			b, a := stack[len(stack)-1], stack[len(stack)-2]
@@ -212,6 +198,128 @@ func HuTucker(items []Item) (*tree.Tree, error) {
 			len(stack), stack[0].level)
 	}
 	return toTree(items, stack[0].s, true)
+}
+
+// pairCand is the best compatible pair of the segment that starts at
+// slot start, cached until a merge bumps version[start].
+type pairCand struct {
+	sum     float64
+	i, j    int32 // slots, i before j
+	start   int32
+	version uint32
+}
+
+// combine runs Hu–Tucker's combination phase on n ≥ 2 items and returns
+// the combination tree: merge k joins nodes left[k] and right[k] into
+// node n+k, where node ids below n are the items. Each step merges the
+// compatible pair (no external node strictly between them) with the
+// smallest (fl(w[i]+w[j]), i, j), positions in sequence order.
+//
+// The working sequence lives in flat slices indexed by slot: slot s holds
+// the node item s started as, and a merge keeps its left slot and unlinks
+// its right one, so slot order is sequence order and slot 0 is always the
+// head. The sequence splits into segments: slot 0 or an external node,
+// the internal nodes after it, and the next external node. Every
+// compatible pair lies in exactly one segment, so the global best pair is
+// the least of the segments' best pairs, which a heap caches. A merge
+// changes only the segment holding its pair, joined to its neighbour
+// across each external endpoint it consumes, and only that segment is
+// rescanned.
+func combine(items []Item) (left, right []int32) {
+	n := len(items)
+	w := make([]float64, n)
+	ext := make([]bool, n)
+	prev := make([]int32, n)
+	next := make([]int32, n)
+	node := make([]int32, n)
+	version := make([]uint32, n)
+	for s, it := range items {
+		w[s], ext[s], node[s] = it.Weight, true, int32(s)
+		prev[s], next[s] = int32(s-1), int32(s+1)
+	}
+	next[n-1] = -1
+	left, right = make([]int32, n-1), make([]int32, n-1)
+	segW := make([]float64, 0, n)
+	segS := make([]int32, 0, n)
+
+	// best scans the segment starting at slot start. fl(a+b) is monotone
+	// in a and b, so the least sum pairing node a with a later node is
+	// fl(w[a] + the minimum weight after a): a backward walk with that
+	// suffix minimum finds the least sum and the first i reaching it, and
+	// j is the first node after i reaching it with i. This is the
+	// smallest (fl-sum, i, j), float rounding ties included.
+	best := func(start int32) (pairCand, bool) {
+		segW, segS = segW[:0], segS[:0]
+		for s := start; s >= 0; s = next[s] {
+			segW = append(segW, w[s])
+			segS = append(segS, s)
+			if ext[s] && s != start {
+				break
+			}
+		}
+		if len(segW) < 2 {
+			return pairCand{}, false
+		}
+		sum, bi := math.Inf(1), 0
+		sufMin := segW[len(segW)-1]
+		for a := len(segW) - 2; a >= 0; a-- {
+			if s := segW[a] + sufMin; s <= sum {
+				sum, bi = s, a
+			}
+			if segW[a] < sufMin {
+				sufMin = segW[a]
+			}
+		}
+		bj := bi + 1
+		for segW[bi]+segW[bj] != sum {
+			bj++
+		}
+		return pairCand{sum: sum, i: segS[bi], j: segS[bj], start: start, version: version[start]}, true
+	}
+
+	q := pqueue.New(func(a, b pairCand) bool {
+		if a.sum != b.sum {
+			return a.sum < b.sum
+		}
+		if a.i != b.i {
+			return a.i < b.i
+		}
+		return a.j < b.j
+	})
+	q.Reserve(2 * n)
+	for s := int32(0); s < int32(n-1); s++ {
+		c, _ := best(s)
+		q.Push(c)
+	}
+	for k := 0; k < n-1; k++ {
+		c := q.Pop()
+		for c.version != version[c.start] {
+			c = q.Pop()
+		}
+		i, j := c.i, c.j
+		left[k], right[k] = node[i], node[j]
+		node[i] = int32(n + k)
+		w[i] += w[j]
+		ext[i] = false
+		next[prev[j]] = next[j]
+		if next[j] >= 0 {
+			prev[next[j]] = prev[j]
+		}
+		// A consumed external i joins the segment ending at i; a consumed
+		// external j joins the segment starting at j, whose cached pair
+		// dies with version[j].
+		start := c.start
+		if start == i && i != 0 {
+			for start = prev[i]; start != 0 && !ext[start]; start = prev[start] {
+			}
+		}
+		version[start]++
+		version[j]++
+		if c, ok := best(start); ok {
+			q.Push(c)
+		}
+	}
+	return left, right
 }
 
 // OptimalAlphabetic builds the optimal alphabetic binary tree by the
@@ -297,6 +405,11 @@ func OptimalKAry(items []Item, k int) (*tree.Tree, error) {
 			bestParts[i][j] = bm
 			partCost[1][i][j] = cost[i][j]
 		}
+	}
+	// A finite total can still overflow once multiplied by depths; an
+	// infinite optimum leaves no split recorded to rebuild from.
+	if math.IsInf(cost[0][n-1], 1) {
+		return nil, fmt.Errorf("alphatree: weighted path length overflows float64")
 	}
 
 	var build func(i, j int) *shape

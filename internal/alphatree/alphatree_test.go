@@ -3,6 +3,7 @@ package alphatree
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -145,6 +146,34 @@ func TestValidationErrors(t *testing.T) {
 	}
 }
 
+// TestOverflowingWeightsError pins that weights whose sum overflows
+// float64 are rejected by every builder instead of panicking, and that
+// the DP reports a finite total whose weighted path length overflows.
+func TestOverflowingWeightsError(t *testing.T) {
+	items := mkItems(1e308, 1e308, 1e308)
+	builders := map[string]func([]Item) (*tree.Tree, error){
+		"HuTucker":                func(it []Item) (*tree.Tree, error) { return HuTucker(it) },
+		"Huffman":                 func(it []Item) (*tree.Tree, error) { return Huffman(it) },
+		"OptimalAlphabetic":       func(it []Item) (*tree.Tree, error) { return OptimalAlphabetic(it) },
+		"OptimalKAry":             func(it []Item) (*tree.Tree, error) { return OptimalKAry(it, 3) },
+		"OptimalKAryDepthLimited": func(it []Item) (*tree.Tree, error) { return OptimalKAryDepthLimited(it, 2, 2) },
+		"KAry":                    func(it []Item) (*tree.Tree, error) { return KAry(it, 2) },
+	}
+	for name, build := range builders {
+		if _, err := build(items); err == nil {
+			t.Errorf("%s: want error for a total weight overflowing float64", name)
+		}
+	}
+	// The total 1.6e308 is finite; the optimal weighted path length,
+	// three levels of it, is not.
+	wide := mkItems(2e307, 2e307, 2e307, 2e307, 2e307, 2e307, 2e307, 2e307)
+	for _, k := range []int{2, 3} {
+		if _, err := OptimalKAry(wide, k); err == nil {
+			t.Errorf("OptimalKAry(k=%d): want error for an overflowing weighted path length", k)
+		}
+	}
+}
+
 func TestOptimalKAryWiderFanoutNeverWorse(t *testing.T) {
 	items := mkItems(3, 1, 4, 1, 5, 9, 2, 6)
 	prev := math.Inf(1)
@@ -272,6 +301,177 @@ func TestQuickConstructionHierarchy(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// pairScanCombine is the original Hu–Tucker combination phase, kept as
+// the oracle for combine: every merge rescans all compatible pairs and
+// keeps the first one, in (i, j) order, with the smallest sum.
+func pairScanCombine(weights []float64) (left, right []int32) {
+	n := len(weights)
+	type cn struct {
+		w        float64
+		external bool
+		id       int32
+	}
+	work := make([]cn, n)
+	for i, w := range weights {
+		work[i] = cn{w: w, external: true, id: int32(i)}
+	}
+	for k := 0; len(work) > 1; k++ {
+		bi, bj := -1, -1
+		best := math.Inf(1)
+		for i := 0; i < len(work); i++ {
+			for j := i + 1; j < len(work); j++ {
+				sum := work[i].w + work[j].w
+				if sum < best {
+					bi, bj, best = i, j, sum
+				}
+				if work[j].external {
+					break // further pairs from i are incompatible
+				}
+			}
+		}
+		left = append(left, work[bi].id)
+		right = append(right, work[bj].id)
+		work[bi] = cn{w: best, id: int32(n + k)}
+		work = append(work[:bj], work[bj+1:]...)
+	}
+	return left, right
+}
+
+// combinationLevels returns each item's depth in a combination tree.
+func combinationLevels(n int, left, right []int32) []int {
+	levels := make([]int, n)
+	depth := make([]int, len(left)) // of merge k; the last merge is the root
+	for k := len(left) - 1; k >= 0; k-- {
+		for _, c := range [2]int32{left[k], right[k]} {
+			if int(c) < n {
+				levels[c] = depth[k] + 1
+			} else {
+				depth[int(c)-n] = depth[k] + 1
+			}
+		}
+	}
+	return levels
+}
+
+// leafDepths returns the depth of every data leaf, left to right.
+func leafDepths(t *tree.Tree) []int {
+	var out []int
+	var walk func(id tree.ID)
+	walk = func(id tree.ID) {
+		if t.IsData(id) {
+			out = append(out, t.Level(id)-1)
+			return
+		}
+		for _, c := range t.Children(id) {
+			walk(c)
+		}
+	}
+	walk(t.Root())
+	return out
+}
+
+func zipfWeights(n int) []float64 {
+	z := stats.Zipf{Theta: 0.8}
+	w := make([]float64, n)
+	for i := range w {
+		w[i] = z.Sample(nil)
+	}
+	return w
+}
+
+// TestHuTuckerMatchesPairScan holds the segment-heap combination phase to
+// the all-pairs scan it replaced: the same merges in the same order, so
+// the same leaf levels and, since an alphabetic tree is fixed by its leaf
+// levels, the same tree, or the same reconstruction error where rounding
+// left the levels unrealizable. The families stress the tie order: uniform
+// floats, small integers with zeros and many exact ties, powers 2^-k over
+// 120 binades (fl(a+b) == a whenever b is more than 53 binades below),
+// weights a few ulps apart (unequal pairs whose sums round to one value),
+// lookup's monotone Zipf(0.8) catalog, and a few large random instances.
+func TestHuTuckerMatchesPairScan(t *testing.T) {
+	families := []struct {
+		name string
+		gen  func(rng *rand.Rand) float64
+	}{
+		{"uniform", func(rng *rand.Rand) float64 { return 100 * rng.Float64() }},
+		{"smallint", func(rng *rand.Rand) float64 { return float64(rng.Intn(4)) }},
+		{"pow2", func(rng *rand.Rand) float64 { return math.Ldexp(1, -rng.Intn(120)) }},
+		{"ulp", func(rng *rand.Rand) float64 { return math.Ldexp(1+float64(rng.Intn(4))*0x1p-52, rng.Intn(3)) }},
+	}
+	check := func(name string, weights []float64) {
+		t.Helper()
+		wantL, wantR := pairScanCombine(weights)
+		gotL, gotR := combine(mkItems(weights...))
+		for k := range wantL {
+			if gotL[k] != wantL[k] || gotR[k] != wantR[k] {
+				t.Fatalf("%s (n=%d): merge %d joins (%d, %d), pair scan joins (%d, %d)",
+					name, len(weights), k, gotL[k], gotR[k], wantL[k], wantR[k])
+			}
+		}
+		items := mkItems(weights...)
+		want := combinationLevels(len(weights), wantL, wantR)
+		tr, err := HuTucker(items)
+		if _, wantErr := fromLevels(items, want); (err != nil) != (wantErr != nil) {
+			t.Fatalf("%s: HuTucker error %v, pair scan levels error %v", name, err, wantErr)
+		}
+		if err != nil {
+			return
+		}
+		for i, d := range leafDepths(tr) {
+			if d != want[i] {
+				t.Fatalf("%s (n=%d): leaf %d at depth %d, pair scan puts it at %d",
+					name, len(weights), i, d, want[i])
+			}
+		}
+	}
+	for _, f := range families {
+		for seed := int64(0); seed < 1500; seed++ {
+			rng := stats.NewRNG(seed)
+			weights := make([]float64, 2+rng.Intn(63))
+			for i := range weights {
+				weights[i] = f.gen(rng)
+			}
+			check(fmt.Sprintf("%s/seed=%d", f.name, seed), weights)
+		}
+	}
+	check("zipf0.8/n=1000", zipfWeights(1000))
+	for seed := int64(0); seed < 12; seed++ {
+		rng := stats.NewRNG(seed)
+		f := families[seed%int64(len(families))]
+		weights := make([]float64, 2+rng.Intn(1999))
+		for i := range weights {
+			weights[i] = f.gen(rng)
+		}
+		check(fmt.Sprintf("%s/large/seed=%d", f.name, seed), weights)
+	}
+}
+
+func BenchmarkHuTucker(b *testing.B) {
+	rng := stats.NewRNG(1)
+	random := make([]float64, 1000)
+	for i := range random {
+		random[i] = float64(1 + rng.Intn(100))
+	}
+	for _, bc := range []struct {
+		name    string
+		weights []float64
+	}{
+		{"zipf1000", zipfWeights(1000)},
+		{"random1000", random},
+		{"zipf10000", zipfWeights(10000)},
+	} {
+		items := mkItems(bc.weights...)
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := HuTucker(items); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

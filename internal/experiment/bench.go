@@ -132,6 +132,24 @@ func Perf(cfg PerfConfig) (*PerfReport, error) {
 		return nil, err
 	}
 
+	// Hu–Tucker over lookup's 1,000-key monotone Zipf(0.8) catalog. Cost
+	// pins the tree's weighted path length so a perf change cannot
+	// silently change the tree.
+	zipf := stats.Zipf{Theta: 0.8}
+	zipfItems := make([]alphatree.Item, 1000)
+	for i := range zipfItems {
+		zipfItems[i] = alphatree.Item{Label: fmt.Sprintf("k%d", i+1), Key: int64(i + 1), Weight: zipf.Sample(rng)}
+	}
+	if err := measure("alphatree/hutucker/n=1000", func() (float64, searchstats.Stats, error) {
+		t, err := alphatree.HuTucker(zipfItems)
+		if err != nil {
+			return 0, searchstats.Stats{}, err
+		}
+		return alphatree.WeightedPathLength(t), searchstats.Stats{}, nil
+	}); err != nil {
+		return nil, err
+	}
+
 	// The batch retrieval planner cases measure planning cost alone: the
 	// catalog is solved and compiled once outside the timer, then each
 	// run plans the same batch from scratch. Cost pins the plan makespan
