@@ -44,6 +44,7 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"sort"
 	"sync"
@@ -172,6 +173,13 @@ type Server struct {
 	conns   map[net.Conn]*connState
 	evicted int
 	done    bool
+	// waiting counts the registered connections with no wake-up pending:
+	// the ones Tick must wait for or evict. nextDue is a lower bound on
+	// the earliest pending slot, exact after every full tick and lowered
+	// by every request. Together they let Tick air a slot nobody is
+	// tuned to without scanning the connections.
+	waiting int
+	nextDue int
 	// warm marks a server that restored its state from a checkpoint;
 	// boundaries counts the cycle boundaries seen since construction, the
 	// clock of the CheckpointEvery cadence.
@@ -240,17 +248,38 @@ type span struct {
 	start, cycleLen int
 }
 
-// cycleLenAt returns the cycle length of the epoch that aired slot: the
-// last span starting at or before it. Slots older than the compacted
-// history resolve to the oldest retained span — by construction no live,
+// spanAt returns the index of the epoch span that aired slot: the last
+// span starting at or before it. Slots older than the compacted history
+// resolve to the oldest retained span — by construction no live,
 // protocol-following connection can still re-request one (see
 // compactSpansLocked).
-func (s *Server) cycleLenAt(slot int) int {
-	i := sort.Search(len(s.spans), func(i int) bool { return s.spans[i].start > slot }) - 1
-	if i < 0 {
-		i = 0
+func (s *Server) spanAt(slot int) int {
+	return max(sort.Search(len(s.spans), func(i int) bool { return s.spans[i].start > slot })-1, 0)
+}
+
+// catchUpLocked maps a requested slot to the slot that serves it: the
+// slot itself if it has not aired yet, otherwise its next cyclic
+// occurrence — bumping by the cycle length of whichever epoch aired each
+// passed occurrence, the rule the analytic timeline simulator applies.
+// Each retained span costs one rounding step, so a client asking for
+// slot 0 late in a run holds the lock (and the broadcast clock) for
+// O(spans), not O((now-slot)/cycleLen).
+func (s *Server) catchUpLocked(slot int) int {
+	i := s.spanAt(slot)
+	for slot < s.now {
+		// Round up within span i, stopping at the clock or at the next
+		// span's start, whichever comes first.
+		end := s.now
+		if i+1 < len(s.spans) {
+			end = min(end, s.spans[i+1].start)
+		}
+		l := s.spans[i].cycleLen
+		slot += (end - slot + l - 1) / l * l
+		for i+1 < len(s.spans) && s.spans[i+1].start <= slot {
+			i++
+		}
 	}
-	return s.spans[i].cycleLen
+	return slot
 }
 
 // compactSpansLocked drops epoch spans no live connection can still
@@ -273,8 +302,7 @@ func (s *Server) compactSpansLocked() {
 			floor = st.floor
 		}
 	}
-	i := sort.Search(len(s.spans), func(i int) bool { return s.spans[i].start > floor }) - 1
-	if i > 0 {
+	if i := s.spanAt(floor); i > 0 {
 		s.spans = append(s.spans[:0], s.spans[i:]...)
 	}
 	s.om.spans.Set(int64(len(s.spans)))
@@ -291,6 +319,10 @@ type connState struct {
 	// idleSince is when the connection last became request-less; the
 	// Grace eviction clock measures from here.
 	idleSince time.Time
+	// frame is reused by every delivery to this connection: Tick waits
+	// for its writes before it returns, so no frame is still in flight
+	// when the next one is encoded.
+	frame []byte
 }
 
 // NewServer wraps a compiled program with default options; Attach or
@@ -318,6 +350,7 @@ func NewServerOpts(p *sim.Program, opts ServerOptions) (*Server, error) {
 		opts:    opts.withDefaults(),
 		spans:   []span{{0, p.CycleLen()}},
 		conns:   map[net.Conn]*connState{},
+		nextDue: math.MaxInt,
 		om:      newServerObs(opts.Obs),
 	}
 	s.initHealth()
@@ -355,10 +388,11 @@ func NewAdaptiveServer(reg *epoch.Registry, opts ServerOptions) (*Server, error)
 		return nil, err
 	}
 	s := &Server{
-		reg:   reg,
-		opts:  opts.withDefaults(),
-		conns: map[net.Conn]*connState{},
-		om:    newServerObs(opts.Obs),
+		reg:     reg,
+		opts:    opts.withDefaults(),
+		conns:   map[net.Conn]*connState{},
+		nextDue: math.MaxInt,
+		om:      newServerObs(opts.Obs),
 	}
 	if opts.Resume && opts.CheckpointPath != "" {
 		s.tryWarmStart(opts.CheckpointPath)
@@ -441,6 +475,7 @@ func (s *Server) Attach(conn net.Conn) {
 		return
 	}
 	s.conns[conn] = &connState{floor: s.now, idleSince: time.Now()}
+	s.waiting++
 	s.om.attached.Inc()
 	s.om.conns.Set(int64(len(s.conns)))
 	s.cond.Broadcast()
@@ -456,8 +491,7 @@ func (s *Server) Attach(conn net.Conn) {
 func (s *Server) handle(conn net.Conn) {
 	defer func() {
 		s.mu.Lock()
-		delete(s.conns, conn)
-		s.om.conns.Set(int64(len(s.conns)))
+		s.dropLocked(conn)
 		s.cond.Broadcast()
 		s.mu.Unlock()
 		conn.Close()
@@ -492,11 +526,11 @@ func (s *Server) handle(conn net.Conn) {
 		if slot > st.floor {
 			st.floor = slot
 		}
-		// A request for a passed slot catches the next cyclic occurrence
-		// — of whichever epoch aired the missed slot.
-		for slot < s.now {
-			slot += s.cycleLenAt(slot)
+		if !st.hasPending {
+			s.waiting--
 		}
+		slot = s.catchUpLocked(slot)
+		s.nextDue = min(s.nextDue, slot)
 		st.hasPending = true
 		st.channel = channel
 		st.slot = slot
@@ -505,45 +539,79 @@ func (s *Server) handle(conn net.Conn) {
 	}
 }
 
+// dropLocked unregisters conn, keeping the waiting count exact. A
+// connection already gone — evicted before its handler exited — is left
+// alone.
+func (s *Server) dropLocked(conn net.Conn) {
+	st, ok := s.conns[conn]
+	if !ok {
+		return
+	}
+	if !st.hasPending {
+		s.waiting--
+	}
+	delete(s.conns, conn)
+	s.om.conns.Set(int64(len(s.conns)))
+}
+
+// evictSilentLocked detaches every request-less connection that has been
+// silent for the grace period and returns how long until the next one's
+// grace expires (0 when eviction is disabled or nothing is left to wait
+// on).
+func (s *Server) evictSilentLocked() time.Duration {
+	if s.opts.Grace <= 0 {
+		return 0
+	}
+	var wake time.Duration
+	now := time.Now()
+	for conn, st := range s.conns {
+		if st.hasPending {
+			continue
+		}
+		if idle := now.Sub(st.idleSince); idle >= s.opts.Grace {
+			// The connection neither requested nor detached in time:
+			// detach it forcibly. Close unblocks its handler, which
+			// finishes the cleanup.
+			s.dropLocked(conn)
+			s.evicted++
+			s.om.evictions.Inc()
+			s.om.reg.Emit("evict", obs.A("slot", int64(s.now)))
+			conn.Close()
+		} else if rest := s.opts.Grace - idle; wake == 0 || rest < wake {
+			wake = rest
+		}
+	}
+	return wake
+}
+
+// boundaryLocked reports whether slot now opens a cycle of an adaptive
+// server's on-air program: the only slots where a staged epoch can swap
+// in or a checkpoint can be taken.
+func (s *Server) boundaryLocked(now int) bool {
+	return s.reg != nil && (now-s.epochStart)%s.prog.CycleLen() == 0
+}
+
 // Tick broadcasts the current slot and advances the clock. It waits until
 // every registered connection has a pending wake-up (or has detached), so
 // a lookup in flight can never miss its slot — but a connection that
 // stays silent past the grace period is evicted rather than allowed to
 // wedge the broadcast clock, and a connection that cannot absorb its
 // frame within the write timeout is closed.
+//
+// A slot nobody is tuned to costs O(1) in the connection count: when
+// every connection has a wake-up pending for a later slot, no outage
+// schedule is armed, and the slot is not a cycle boundary of an adaptive
+// server, Tick only advances the clock. Every other slot takes the full
+// path, the only one that delivers frames, evicts, swaps epochs, takes
+// checkpoints or runs the watchdog.
+//
+// Tick is driven from one goroutine; it returns only after the slot's
+// frame writes have finished.
 func (s *Server) Tick() error {
 	s.mu.Lock()
-	for {
-		if s.done {
-			s.mu.Unlock()
-			return fmt.Errorf("netcast: server closed")
-		}
-		ready := true
-		var wake time.Duration
-		now := time.Now()
-		for conn, st := range s.conns {
-			if st.hasPending {
-				continue
-			}
-			if s.opts.Grace > 0 {
-				if idle := now.Sub(st.idleSince); idle >= s.opts.Grace {
-					// The connection neither requested nor detached in
-					// time: detach it forcibly. Close unblocks its
-					// handler, which finishes the cleanup.
-					delete(s.conns, conn)
-					s.evicted++
-					s.om.evictions.Inc()
-					s.om.conns.Set(int64(len(s.conns)))
-					s.om.reg.Emit("evict", obs.A("slot", int64(s.now)))
-					conn.Close()
-					continue
-				} else if rest := s.opts.Grace - idle; wake == 0 || rest < wake {
-					wake = rest
-				}
-			}
-			ready = false
-		}
-		if ready {
+	for !s.done && s.waiting > 0 {
+		wake := s.evictSilentLocked()
+		if s.waiting == 0 {
 			break
 		}
 		if wake > 0 {
@@ -556,7 +624,20 @@ func (s *Server) Tick() error {
 			s.cond.Wait()
 		}
 	}
+	if s.done {
+		s.mu.Unlock()
+		return fmt.Errorf("netcast: server closed")
+	}
 	now := s.now
+	// Nobody is tuned to this slot. An armed outage schedule still takes
+	// the full path: the watchdog must account every slot before it airs.
+	if now < s.nextDue && !s.opts.Outages.Enabled() && !s.boundaryLocked(now) {
+		s.now++
+		s.om.ticks.Inc()
+		s.om.clock.Set(int64(s.now))
+		s.mu.Unlock()
+		return nil
+	}
 	// Account every slot that has aired since the last tick into the
 	// channel health tracker — before the swap check, so a program staged
 	// by the OnLiveChange callback can land at this very slot if it is a
@@ -566,7 +647,7 @@ func (s *Server) Tick() error {
 	// program — the no-mid-cycle-swap invariant (DESIGN.md §8). The swap
 	// replaces what subsequent slots carry; it never stalls or skips the
 	// slot clock.
-	if s.reg != nil && (now-s.epochStart)%s.prog.CycleLen() == 0 {
+	if s.boundaryLocked(now) {
 		if e, swapped := s.reg.TrySwap(); swapped {
 			s.prog, s.packets = e.Prog, e.Packets
 			s.epochStart = now
@@ -589,30 +670,42 @@ func (s *Server) Tick() error {
 	ckpt := s.checkpointLocked(now)
 	type delivery struct {
 		conn  net.Conn
-		st    *connState
 		frame []byte
 	}
 	var due []delivery
+	var delivered time.Time
+	next := math.MaxInt
 	for conn, st := range s.conns {
-		if st.hasPending && st.slot == now {
-			cycleSlot := (now-s.epochStart)%s.prog.CycleLen() + 1
-			payload := s.packets[st.channel-1][cycleSlot-1]
-			// A dark channel transmits dead air: the client wakes on time
-			// and hears a lost-slot frame, so outage detection stays a
-			// pure function of slot arithmetic on both ends of the wire.
-			if s.opts.Outages.DarkAt(st.channel, now) {
-				payload = nil
-			}
-			frame, err := appendFrame(make([]byte, 0, frameHeaderSize+len(payload)), now, payload)
-			if err != nil {
-				s.mu.Unlock()
-				return err
-			}
-			due = append(due, delivery{conn, st, frame})
-			st.hasPending = false
-			st.idleSince = time.Now()
+		if !st.hasPending {
+			continue
 		}
+		if st.slot != now {
+			next = min(next, st.slot)
+			continue
+		}
+		cycleSlot := (now-s.epochStart)%s.prog.CycleLen() + 1
+		payload := s.packets[st.channel-1][cycleSlot-1]
+		// A dark channel transmits dead air: the client wakes on time and
+		// hears a lost-slot frame, so outage detection stays a pure
+		// function of slot arithmetic on both ends of the wire.
+		if s.opts.Outages.DarkAt(st.channel, now) {
+			payload = nil
+		}
+		frame, err := appendFrame(st.frame[:0], now, payload)
+		if err != nil {
+			s.mu.Unlock()
+			return err
+		}
+		st.frame = frame
+		due = append(due, delivery{conn, frame})
+		st.hasPending = false
+		s.waiting++
+		if delivered.IsZero() {
+			delivered = time.Now()
+		}
+		st.idleSince = delivered
 	}
+	s.nextDue = next
 	s.now++
 	s.om.ticks.Inc()
 	s.om.clock.Set(int64(s.now))
@@ -709,7 +802,7 @@ func (s *Server) updateHealthLocked() {
 // pure memory (packets are shared, immutable); the caller writes the file
 // after releasing the lock.
 func (s *Server) checkpointLocked(now int) *epoch.Checkpoint {
-	if s.reg == nil || s.opts.CheckpointPath == "" || (now-s.epochStart)%s.prog.CycleLen() != 0 {
+	if s.opts.CheckpointPath == "" || !s.boundaryLocked(now) {
 		return nil
 	}
 	every := s.opts.CheckpointEvery

@@ -231,32 +231,39 @@ func TestConcurrentNetClients(t *testing.T) {
 }
 
 // TestLateRequestCatchesNextCycle: a request for a passed slot is served
-// on the next cyclic occurrence rather than failing.
+// on the next cyclic occurrence rather than failing — also when the
+// clock has run 10^7 slots past it.
 func TestLateRequestCatchesNextCycle(t *testing.T) {
 	p := compiled(t, 4, 1, 6, false)
-	s, err := NewServer(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	// Advance the clock with no clients attached.
-	if err := s.Run(3); err != nil {
-		t.Fatal(err)
-	}
-	c := pipeClient(t, s)
-	defer c.Close()
-	done := make(chan error, 1)
-	go func() {
-		var m sim.Metrics
-		slot, _, err := c.read(1, 1, &m) // slot 1 already passed
-		if err == nil && slot != 1+p.CycleLen() {
-			t.Errorf("late request served at %d, want %d", slot, 1+p.CycleLen())
+	L := p.CycleLen()
+	for _, tc := range []struct{ clock, slot, want int }{
+		{3, 1, 1 + L},
+		{10_000_003, 0, (10_000_003 + L - 1) / L * L},
+	} {
+		s, err := NewServer(p)
+		if err != nil {
+			t.Fatal(err)
 		}
-		done <- err
-	}()
-	go s.Run(2 * p.CycleLen())
-	if err := <-done; err != nil {
-		t.Fatal(err)
+		// Advance the clock with no clients attached.
+		if err := s.Run(tc.clock); err != nil {
+			t.Fatal(err)
+		}
+		c := pipeClient(t, s)
+		done := make(chan error, 1)
+		go func() {
+			var m sim.Metrics
+			slot, _, err := c.read(1, tc.slot, &m)
+			if err == nil && slot != tc.want {
+				t.Errorf("slot %d requested at clock %d served at %d, want %d", tc.slot, tc.clock, slot, tc.want)
+			}
+			done <- err
+		}()
+		go s.Run(2 * L)
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+		c.Close()
+		s.Close()
 	}
 }
 

@@ -86,7 +86,8 @@ func checkOutcome(t *testing.T, label string, got outageOutcome, wantM sim.Metri
 
 // TestWatchdogMatchesDetections pins the server's incremental health
 // tracker to its pure-function twin: the OnLiveChange events the tower
-// emits are exactly fault.Outages.Detections of the same schedule.
+// emits are exactly fault.Outages.Detections of the same schedule, with
+// every connection parked far ahead.
 func TestWatchdogMatchesDetections(t *testing.T) {
 	p := compiled(t, 8, 3, 5, true)
 	out := fault.Outages{
@@ -110,6 +111,9 @@ func TestWatchdogMatchesDetections(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
+	// Connections parked past the horizon leave every slot untuned; the
+	// armed schedule must still run the watchdog on each of them.
+	park(t, s, 3, p.Channels(), horizon+1000)
 	if err := s.Run(horizon); err != nil {
 		t.Fatal(err)
 	}

@@ -458,7 +458,7 @@ func TestRestartAcrossSwapMatchesTwin(t *testing.T) {
 	rc := sim.RestartConfig{Downtimes: down, Backoff: bo, MaxRetries: budget, DeadAir: -1}
 
 	restarts, reconnects := 0, 0
-	for arrival := 0; arrival < 3 * L1; arrival++ {
+	for arrival := 0; arrival < 3*L1; arrival++ {
 		for key := int64(1); key <= 10; key++ {
 			wantM, wantFound, wantErr := tl.QueryRestart(arrival, key, pw, rc)
 			if wantErr != nil && !errors.Is(wantErr, fault.ErrRetryBudget) {

@@ -102,9 +102,9 @@ type Bucket struct {
 	// 0 means "unstamped" (v2/v3 frames); clients treat it as channel 1.
 	RootChannel uint8
 	Label       string
-	Key      int64   // data buckets on keyed trees
-	Weight   float64 // data buckets: advertised access frequency
-	Pointers []Pointer
+	Key         int64   // data buckets on keyed trees
+	Weight      float64 // data buckets: advertised access frequency
+	Pointers    []Pointer
 }
 
 const (

@@ -3,6 +3,7 @@
 #
 #   build       go build ./...
 #   vet         go vet ./...
+#   gofmt       gofmt -l .                     (fails if any file is unformatted)
 #   bcast-vet   go run ./cmd/bcast-vet ./...   (repo-specific invariants;
 #               writes bcast-vet.json and enforces a 30s-per-package
 #               analyzer time budget)
@@ -43,6 +44,14 @@ go build ./...
 
 echo "== vet =="
 go vet ./...
+
+echo "== gofmt =="
+unformatted="$(gofmt -l .)"
+if [ -n "$unformatted" ]; then
+    echo "gofmt: these files are not formatted (fix with gofmt -w):" >&2
+    echo "$unformatted" >&2
+    exit 1
+fi
 
 echo "== bcast-vet =="
 go run ./cmd/bcast-vet -json bcast-vet.json -timebudget 30s ./...
