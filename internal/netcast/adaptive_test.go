@@ -54,7 +54,7 @@ func runAdaptive(t testing.TB, p1, p2 *sim.Program, stageAt, totalSlots, budget 
 		}
 		s.Run(totalSlots - stageAt)
 	}()
-	out := <-done
+	out := await(t, done)
 	// Join the driver (slots after the client detached tick instantly) so
 	// the swap count below reflects the full schedule.
 	<-drvDone
@@ -236,7 +236,7 @@ func TestAdaptiveServerWithoutStagingIsStatic(t *testing.T) {
 		done <- adaptiveOutcome{found: found, m: m, err: err}
 	}()
 	go s.Run(5 * p.CycleLen())
-	out := <-done
+	out := await(t, done)
 	if out.err != nil {
 		t.Fatal(out.err)
 	}

@@ -39,7 +39,7 @@ func runBatch(t testing.TB, p *sim.Program, opts ServerOptions, budget int,
 		s.AwaitConns(1)
 		s.Run(plan.Arrival + plan.Makespan() + (8+budget)*p.CycleLen())
 	}()
-	out := <-done
+	out := await(t, done)
 	return out.m, out.err
 }
 

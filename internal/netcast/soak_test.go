@@ -90,7 +90,7 @@ func TestSpanHistoryBoundedSoak(t *testing.T) {
 				t.Fatalf("swap %d: tick: %v", i, err)
 			}
 		}
-		out := <-done
+		out := await(t, done)
 		c.Close()
 		if out.err != nil {
 			t.Fatalf("swap %d: lookup: %v", i, out.err)
