@@ -657,12 +657,15 @@ func runRestart(t *tree.Tree, prog *sim.Program, opt liveOpts, w io.Writer) erro
 	}
 	down := fault.Downtime{StartSlot: opt.kill, EndSlot: opt.kill + opt.restartAfter}
 	bo := fault.Backoff{Seed: opt.seed}
-	rc := sim.RestartConfig{
+	env := sim.FaultConfig{
 		Model:      sopts.Faults,
 		Downtimes:  fault.Downtimes{down},
 		Backoff:    bo,
 		MaxRetries: opt.retries,
-		DeadAir:    -1,
+	}
+	static, err := sim.NewTimeline(prog, 0)
+	if err != nil {
+		return err
 	}
 
 	reg, err := epoch.NewRegistry(prog)
@@ -735,7 +738,7 @@ func runRestart(t *tree.Tree, prog *sim.Program, opt liveOpts, w io.Writer) erro
 		key, _ := t.Key(dataIDs[rng.Intn(len(dataIDs))])
 		// Arrivals spread up to the crash so sessions straddle it.
 		arrival := rng.Intn(opt.kill + prog.CycleLen())
-		want, _, wantErr := prog.QueryRestart(arrival, key, power, rc)
+		want, _, wantErr := static.QuerySwitch(arrival, key, power, env)
 		if wantErr != nil && !errors.Is(wantErr, fault.ErrRetryBudget) {
 			return wantErr
 		}
@@ -911,7 +914,7 @@ func runOutage(t *tree.Tree, prog *sim.Program, opt liveOpts, w io.Writer) error
 	}
 
 	model := fault.Model{Seed: opt.seed, Drop: opt.drop, Corrupt: opt.corrupt, Stall: opt.stall}
-	oc := sim.OutageConfig{Model: model, Outages: opt.outages, MaxRetries: opt.retries, DeadAir: deadAir}
+	env := sim.FaultConfig{Model: model, Outages: opt.outages, MaxRetries: opt.retries, DeadAir: deadAir}
 	reg, err := epoch.NewRegistry(prog)
 	if err != nil {
 		return err
@@ -969,7 +972,7 @@ func runOutage(t *tree.Tree, prog *sim.Program, opt liveOpts, w io.Writer) error
 		// Arrivals spread across the outage windows so sessions hit dead
 		// air before, during, and after the replans.
 		arrival := rng.Intn(maxEnd + 2*L)
-		want, _, wantErr := tl.QueryOutage(arrival, key, power, oc)
+		want, _, wantErr := tl.QuerySwitch(arrival, key, power, env)
 		if wantErr != nil && !errors.Is(wantErr, fault.ErrRetryBudget) {
 			return wantErr
 		}

@@ -171,7 +171,7 @@ func OutageSweep(cfg OutageSweepConfig) ([]OutageRow, error) {
 	// output-identical to the serial run.
 	type trialOut struct {
 		anchor  sim.Summary
-		reports []sim.OutageReport
+		reports []sim.Report
 		replans []int
 	}
 	trials, err := forEachTrial(cfg.Workers, cfg.Trials, func(trial int) (trialOut, error) {
@@ -204,20 +204,23 @@ func OutageSweep(cfg OutageSweepConfig) ([]OutageRow, error) {
 		if err != nil {
 			return out, err
 		}
-		oc := sim.OutageConfig{Outages: outages, MaxRetries: cfg.MaxRetries, DeadAir: cfg.DeadAir}
-
-		clean, err := sim.EvaluateOutage(prog, lo, hi, cfg.Power,
-			sim.OutageConfig{MaxRetries: cfg.MaxRetries, DeadAir: cfg.DeadAir})
-		if err != nil {
-			return out, fmt.Errorf("trial %d anchor: %w", trial, err)
-		}
-		out.anchor = clean.Summary
+		env := sim.FaultConfig{Outages: outages, MaxRetries: cfg.MaxRetries, DeadAir: cfg.DeadAir}
 
 		var demand []sim.Demand
 		for _, d := range tr.DataIDs() {
 			k, _ := tr.Key(d)
 			demand = append(demand, sim.Demand{Key: k, Weight: tr.Weight(d)})
 		}
+		static, err := sim.NewTimeline(prog, 0)
+		if err != nil {
+			return out, err
+		}
+		clean, err := sim.EvaluateReport(static, lo, hi, demand, cfg.Power,
+			sim.FaultConfig{MaxRetries: cfg.MaxRetries, DeadAir: cfg.DeadAir})
+		if err != nil {
+			return out, fmt.Errorf("trial %d anchor: %w", trial, err)
+		}
+		out.anchor = clean.Summary
 		for _, w := range cfg.Watchdogs {
 			tl, replans := (*sim.Timeline)(nil), 0
 			if w > 0 {
@@ -229,10 +232,10 @@ func OutageSweep(cfg OutageSweepConfig) ([]OutageRow, error) {
 				if tl, replans, err = ReplanTimeline(prog, events, progs); err != nil {
 					return out, fmt.Errorf("trial %d watchdog %d: %w", trial, w, err)
 				}
-			} else if tl, err = sim.NewTimeline(prog, 0); err != nil {
-				return out, err
+			} else {
+				tl = static
 			}
-			rep, err := sim.EvaluateOutageAdaptive(tl, lo, hi, demand, cfg.Power, oc)
+			rep, err := sim.EvaluateReport(tl, lo, hi, demand, cfg.Power, env)
 			if err != nil {
 				return out, fmt.Errorf("trial %d watchdog %d: %w", trial, w, err)
 			}

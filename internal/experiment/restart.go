@@ -76,7 +76,7 @@ type RestartSweepConfig struct {
 // through the kill under the reconnect protocol, and the sweep compares
 // availability and client cost across backoff aggressiveness against a
 // crash-free anchor. The downtime windows and reconnect schedule are
-// evaluated on the analytic twin (sim.EvaluateRestart), which the
+// evaluated on the analytic twin (sim.EvaluateReport), which the
 // netcast cross-checks pin byte-identical to a real kill/warm-restart
 // tower; the companion replay table prices the checkpoint cadence in
 // re-aired slots per warm start.
@@ -121,7 +121,7 @@ func RestartSweep(cfg RestartSweepConfig) ([]RestartRow, []ReplayRow, error) {
 	// output-identical to the serial run.
 	type trialOut struct {
 		anchor  sim.Summary
-		reports []sim.RestartReport
+		reports []sim.Report
 		// kills are the crash slots of this trial's schedule; cycleLen
 		// prices their replay per cadence.
 		kills    []int
@@ -167,21 +167,28 @@ func RestartSweep(cfg RestartSweepConfig) ([]RestartRow, []ReplayRow, error) {
 			out.kills = append(out.kills, d.StartSlot)
 		}
 
-		clean, err := sim.EvaluateRestart(prog, lo, hi, cfg.Power,
-			sim.RestartConfig{MaxRetries: cfg.MaxRetries, DeadAir: -1})
+		static, err := sim.NewTimeline(prog, 0)
+		if err != nil {
+			return out, err
+		}
+		var demand []sim.Demand
+		for _, d := range tr.DataIDs() {
+			k, _ := tr.Key(d)
+			demand = append(demand, sim.Demand{Key: k, Weight: tr.Weight(d)})
+		}
+		clean, err := sim.EvaluateReport(static, lo, hi, demand, cfg.Power, sim.FaultConfig{MaxRetries: cfg.MaxRetries})
 		if err != nil {
 			return out, fmt.Errorf("trial %d anchor: %w", trial, err)
 		}
 		out.anchor = clean.Summary
 
 		for _, base := range cfg.Bases {
-			rc := sim.RestartConfig{
+			env := sim.FaultConfig{
 				Downtimes:  downs,
 				Backoff:    fault.Backoff{Seed: cfg.Seed + int64(trial), Base: base, Cap: cfg.Cap},
 				MaxRetries: cfg.MaxRetries,
-				DeadAir:    -1,
 			}
-			rep, err := sim.EvaluateRestart(prog, lo, hi, cfg.Power, rc)
+			rep, err := sim.EvaluateReport(static, lo, hi, demand, cfg.Power, env)
 			if err != nil {
 				return out, fmt.Errorf("trial %d base %d: %w", trial, base, err)
 			}

@@ -224,7 +224,7 @@ func TestRetryBudgetBoundaryFailover(t *testing.T) {
 	}
 	model := fault.Model{Seed: 5, Drop: 0.3, Corrupt: 0.05}
 	opts := ServerOptions{Faults: model, Outages: out, Watchdog: w}
-	generous := sim.OutageConfig{Model: model, Outages: out, MaxRetries: 1 << 20, DeadAir: w}
+	generous := sim.FaultConfig{Model: model, Outages: out, MaxRetries: 1 << 20, DeadAir: w}
 
 	lookupAt := func(arrival int, key int64, budget int) outageOutcome {
 		s := outageTower(t, p1, progs, opts)
@@ -243,7 +243,7 @@ func TestRetryBudgetBoundaryFailover(t *testing.T) {
 	full := false
 	for arrival := 0; arrival < 8*L && !full; arrival++ {
 		for key := int64(1); key <= 8; key++ {
-			m, _, err := tl.QueryOutage(arrival, key, pw, generous)
+			m, _, err := tl.QuerySwitch(arrival, key, pw, generous)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -253,7 +253,7 @@ func TestRetryBudgetBoundaryFailover(t *testing.T) {
 			need := m.Retries + m.Restarts + m.Failovers
 			exact := generous
 			exact.MaxRetries = need
-			wantM, wantFound, err := tl.QueryOutage(arrival, key, pw, exact)
+			wantM, wantFound, err := tl.QuerySwitch(arrival, key, pw, exact)
 			if err != nil {
 				t.Fatalf("arrival %d key %d: sim at exact budget %d: %v", arrival, key, need, err)
 			}
@@ -267,7 +267,7 @@ func TestRetryBudgetBoundaryFailover(t *testing.T) {
 			}
 			below := generous
 			below.MaxRetries = need - 1
-			if _, _, err := tl.QueryOutage(arrival, key, pw, below); !errors.Is(err, fault.ErrRetryBudget) {
+			if _, _, err := tl.QuerySwitch(arrival, key, pw, below); !errors.Is(err, fault.ErrRetryBudget) {
 				t.Fatalf("arrival %d key %d: sim below budget: want ErrRetryBudget, got %v", arrival, key, err)
 			}
 			if out := lookupAt(arrival, key, need-1); !errors.Is(out.err, fault.ErrRetryBudget) {
@@ -312,8 +312,8 @@ func TestRetryBudgetBoundaryReconnect(t *testing.T) {
 	if _, err := tl.Append(p2, 2, stageAt); err != nil {
 		t.Fatal(err)
 	}
-	rcAt := func(budget int) sim.RestartConfig {
-		return sim.RestartConfig{
+	rcAt := func(budget int) sim.FaultConfig {
+		return sim.FaultConfig{
 			Model:      model,
 			Outages:    outs,
 			Downtimes:  down,
@@ -347,7 +347,7 @@ func TestRetryBudgetBoundaryReconnect(t *testing.T) {
 	full := false
 	for arrival := 0; arrival < 3*L1 && !full; arrival++ {
 		for key := int64(1); key <= 10; key++ {
-			m, _, err := tl.QueryRestart(arrival, key, pw, rcAt(1<<20))
+			m, _, err := tl.QuerySwitch(arrival, key, pw, rcAt(1<<20))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -355,7 +355,7 @@ func TestRetryBudgetBoundaryReconnect(t *testing.T) {
 				continue
 			}
 			need := m.Retries + m.Restarts + m.Failovers + m.Reconnects
-			wantM, wantFound, err := tl.QueryRestart(arrival, key, pw, rcAt(need))
+			wantM, wantFound, err := tl.QuerySwitch(arrival, key, pw, rcAt(need))
 			if err != nil {
 				t.Fatalf("arrival %d key %d: sim at exact budget %d: %v", arrival, key, need, err)
 			}
@@ -367,7 +367,7 @@ func TestRetryBudgetBoundaryReconnect(t *testing.T) {
 				t.Fatalf("arrival %d key %d at exact budget %d: net %+v/%v != sim %+v/%v",
 					arrival, key, need, out.m, out.found, wantM, wantFound)
 			}
-			_, _, err = tl.QueryRestart(arrival, key, pw, rcAt(need-1))
+			_, _, err = tl.QuerySwitch(arrival, key, pw, rcAt(need-1))
 			if !errors.Is(err, fault.ErrRetryBudget) {
 				t.Fatalf("arrival %d key %d: sim below budget: want ErrRetryBudget, got %v", arrival, key, err)
 			}

@@ -46,7 +46,7 @@ type outageOutcome struct {
 
 // runOutageLookup drives one failover-armed lookup against a static
 // server broadcasting under the given outage schedule.
-func runOutageLookup(t testing.TB, p *sim.Program, opts ServerOptions, oc sim.OutageConfig, arrival int, key int64) outageOutcome {
+func runOutageLookup(t testing.TB, p *sim.Program, opts ServerOptions, oc sim.FaultConfig, arrival int, key int64) outageOutcome {
 	t.Helper()
 	s, err := NewServerOpts(p, opts)
 	if err != nil {
@@ -170,12 +170,12 @@ func TestOutageLookupMatchesTwinSingle(t *testing.T) {
 		{{Channel: 1, StartSlot: L, EndSlot: 4 * L}},
 		{{Channel: 2, StartSlot: L, EndSlot: 4 * L}},
 	} {
-		oc := sim.OutageConfig{Outages: out, MaxRetries: 64, DeadAir: 3}
+		oc := sim.FaultConfig{Outages: out, MaxRetries: 64, DeadAir: 3}
 		opts := ServerOptions{Outages: out, Watchdog: -1}
 		failovers := 0
 		for arrival := 0; arrival < 5*L; arrival++ {
 			for key := int64(1); key <= 9; key++ { // key 9 is absent
-				wantM, wantFound, wantErr := p.QueryOutage(arrival, key, pw, oc)
+				wantM, wantFound, wantErr := staticTimeline(t, p).QuerySwitch(arrival, key, pw, oc)
 				got := runOutageLookup(t, p, opts, oc, arrival, key)
 				checkOutcome(t, out[0].String(), got, wantM, wantFound, wantErr)
 				failovers += got.m.Failovers
@@ -203,11 +203,11 @@ func TestOutageLookupMatchesTwinOverlapping(t *testing.T) {
 	// A generous budget rides everything out; a tight one must exhaust
 	// identically on both sides for the all-dark arrivals.
 	for _, budget := range []int{64, 5} {
-		oc := sim.OutageConfig{Outages: out, MaxRetries: budget, DeadAir: 3}
+		oc := sim.FaultConfig{Outages: out, MaxRetries: budget, DeadAir: 3}
 		exhausted := 0
 		for arrival := 0; arrival < 5*L; arrival++ {
 			for key := int64(1); key <= 8; key += 3 {
-				wantM, wantFound, wantErr := p.QueryOutage(arrival, key, pw, oc)
+				wantM, wantFound, wantErr := staticTimeline(t, p).QuerySwitch(arrival, key, pw, oc)
 				got := runOutageLookup(t, p, opts, oc, arrival, key)
 				checkOutcome(t, out[0].String(), got, wantM, wantFound, wantErr)
 				if got.err != nil {
@@ -304,12 +304,12 @@ func TestOutageDuringSwapMatchesTimeline(t *testing.T) {
 		}
 	}
 
-	oc := sim.OutageConfig{Outages: out, MaxRetries: 64, DeadAir: w}
+	oc := sim.FaultConfig{Outages: out, MaxRetries: 64, DeadAir: w}
 	opts := ServerOptions{Outages: out, Watchdog: w}
 	failovers := 0
 	for arrival := 0; arrival < 8*L; arrival++ {
 		for key := int64(1); key <= 8; key++ {
-			wantM, wantFound, wantErr := tl.QueryOutage(arrival, key, pw, oc)
+			wantM, wantFound, wantErr := tl.QuerySwitch(arrival, key, pw, oc)
 			s := outageTower(t, p1, progs, opts)
 			c := pipeClient(t, s)
 			c.MaxRetries, c.DeadAir, c.Channels = oc.MaxRetries, oc.DeadAir, p1.Channels()

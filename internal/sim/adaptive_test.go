@@ -103,7 +103,7 @@ func TestQuerySwitchStaticMatchesQueryKey(t *testing.T) {
 	for a := 0; a < p.CycleLen(); a++ {
 		for key := int64(0); key <= 13; key++ {
 			got, gFound, gErr := tl.QuerySwitch(a, key, testPower, fc)
-			want, wFound, wErr := p.QueryKeyFaulty(a, key, testPower, fc)
+			want, wFound, wErr := p.timeline().QuerySwitch(a, key, testPower, fc)
 			if (gErr == nil) != (wErr == nil) {
 				t.Fatalf("arrival %d key %d: err %v vs %v", a, key, gErr, wErr)
 			}

@@ -128,7 +128,7 @@ func TestQueryRangeFaultyCompleteness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lossy, err := p.QueryRangeFaulty(1, 2, 9, faultPw, fc)
+	lossy, err := p.timeline().QueryRangeSwitch(1, 2, 9, faultPw, fc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestQueryRangeFaultyCompleteness(t *testing.T) {
 func TestQueryRangeFaultyBudget(t *testing.T) {
 	p := keyedProgram(t, 6, 1, 8)
 	fc := FaultConfig{Model: fault.Model{Seed: 1, Drop: 1}, MaxRetries: 4}
-	_, err := p.QueryRangeFaulty(0, 1, 6, faultPw, fc)
+	_, err := p.timeline().QueryRangeSwitch(0, 1, 6, faultPw, fc)
 	if !errors.Is(err, fault.ErrRetryBudget) {
 		t.Fatalf("want ErrRetryBudget, got %v", err)
 	}

@@ -77,10 +77,10 @@ func TestRemapDiscovery(t *testing.T) {
 			}
 		}
 	}
-	var oc OutageConfig
+	oc := FaultConfig{DeadAir: DefaultDeadAir}
 	for a := 0; a < p.CycleLen(); a++ {
 		for key := int64(0); key <= 13; key++ {
-			m, found, err := p.QueryOutage(a, key, testPower, oc)
+			m, found, err := p.timeline().QuerySwitch(a, key, testPower, oc)
 			if err != nil {
 				t.Fatalf("arrival %d key %d: %v", a, key, err)
 			}
@@ -109,10 +109,10 @@ func TestQueryOutageDisabledMatchesQuerySwitch(t *testing.T) {
 		t.Fatal(err)
 	}
 	fc := FaultConfig{Model: fault.Model{Seed: 99, Drop: 0.1, Corrupt: 0.05}}
-	oc := OutageConfig{Model: fc.Model, DeadAir: -1}
+	oc := FaultConfig{Model: fc.Model}
 	for a := 0; a < p.CycleLen(); a++ {
 		for key := int64(0); key <= 13; key++ {
-			got, gFound, gErr := tl.QueryOutage(a, key, testPower, oc)
+			got, gFound, gErr := tl.QuerySwitch(a, key, testPower, oc)
 			want, wFound, wErr := tl.QuerySwitch(a, key, testPower, fc)
 			if (gErr == nil) != (wErr == nil) {
 				t.Fatalf("arrival %d key %d: err %v vs %v", a, key, gErr, wErr)
@@ -135,8 +135,8 @@ func TestQueryOutageRidesOutShortWindow(t *testing.T) {
 	p := keyedProgram(t, 12, 2, 11)
 	L := p.CycleLen()
 
-	short := OutageConfig{Outages: fault.Outages{{Channel: 1, StartSlot: 0, EndSlot: 2 * L}}}
-	m, found, err := p.QueryOutage(0, 5, testPower, short)
+	short := FaultConfig{Outages: fault.Outages{{Channel: 1, StartSlot: 0, EndSlot: 2 * L}}, DeadAir: DefaultDeadAir}
+	m, found, err := p.timeline().QuerySwitch(0, 5, testPower, short)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,8 +144,8 @@ func TestQueryOutageRidesOutShortWindow(t *testing.T) {
 		t.Fatalf("short window: %+v found=%v, want retries only", m, found)
 	}
 
-	long := OutageConfig{Outages: fault.Outages{{Channel: 1, StartSlot: 0, EndSlot: 3*L + 1}}}
-	m, found, err = p.QueryOutage(0, 5, testPower, long)
+	long := FaultConfig{Outages: fault.Outages{{Channel: 1, StartSlot: 0, EndSlot: 3*L + 1}}, DeadAir: DefaultDeadAir}
+	m, found, err = p.timeline().QuerySwitch(0, 5, testPower, long)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +156,7 @@ func TestQueryOutageRidesOutShortWindow(t *testing.T) {
 	// A starved budget turns the same window into a terminal failure.
 	starved := long
 	starved.MaxRetries = 3
-	if _, _, err := p.QueryOutage(0, 5, testPower, starved); !errors.Is(err, fault.ErrRetryBudget) {
+	if _, _, err := p.timeline().QuerySwitch(0, 5, testPower, starved); !errors.Is(err, fault.ErrRetryBudget) {
 		t.Fatalf("starved budget: err %v, want ErrRetryBudget", err)
 	}
 }
@@ -188,11 +188,11 @@ func TestQueryOutageFailsOverToReplannedEpoch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	oc := OutageConfig{Outages: outs}
+	oc := FaultConfig{Outages: outs, DeadAir: DefaultDeadAir}
 
 	// Arrive well after the swap: probe channel 1 (dark), fail over once,
 	// then run entirely on channel 2.
-	m, found, err := tl.QueryOutage(swap+L, 5, testPower, oc)
+	m, found, err := tl.QuerySwitch(swap+L, 5, testPower, oc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +204,7 @@ func TestQueryOutageFailsOverToReplannedEpoch(t *testing.T) {
 	// complete — early arrivals descend epoch 1 before slot L, later ones
 	// pay retries/failovers and land on epoch 2.
 	for a := 0; a < L; a++ {
-		if _, _, err := tl.QueryOutage(a, 5, testPower, oc); err != nil {
+		if _, _, err := tl.QuerySwitch(a, 5, testPower, oc); err != nil {
 			t.Fatalf("arrival %d: %v", a, err)
 		}
 	}
@@ -226,14 +226,14 @@ func TestEvaluateOutageNoOutagesMatchesAdaptive(t *testing.T) {
 		demand = append(demand, Demand{Key: k, Weight: tr.Weight(d)})
 	}
 	fc := FaultConfig{Model: fault.Model{Seed: 5, Drop: 0.05}}
-	oc := OutageConfig{Model: fc.Model, DeadAir: -1}
+	oc := FaultConfig{Model: fc.Model}
 	L := p.CycleLen()
 
 	want, wantHits, err := EvaluateAdaptive(tl, 0, L, demand, testPower, fc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := EvaluateOutageAdaptive(tl, 0, L, demand, testPower, oc)
+	got, err := EvaluateReport(tl, 0, L, demand, testPower, oc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,11 +256,12 @@ func TestEvaluateOutageNoOutagesMatchesAdaptive(t *testing.T) {
 func TestEvaluateOutageAvailability(t *testing.T) {
 	p := keyedProgram(t, 12, 2, 19)
 	L := p.CycleLen()
-	oc := OutageConfig{
+	oc := FaultConfig{
 		Outages:    fault.Outages{{Channel: 1, StartSlot: 0, EndSlot: 40 * L}},
 		MaxRetries: 6,
+		DeadAir:    DefaultDeadAir,
 	}
-	r, err := EvaluateOutage(p, 0, L, testPower, oc)
+	r, err := EvaluateReport(p.timeline(), 0, L, catalogDemand(p), testPower, oc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,11 +269,22 @@ func TestEvaluateOutageAvailability(t *testing.T) {
 		t.Fatalf("availability %v, want < 1 under a 40-cycle root outage", r.Availability)
 	}
 
-	clear, err := EvaluateOutage(p, 41*L, 42*L, testPower, oc)
+	clear, err := EvaluateReport(p.timeline(), 41*L, 42*L, catalogDemand(p), testPower, oc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if clear.Availability != 1 || clear.Summary.Failovers != 0 {
 		t.Fatalf("post-outage window: %+v, want full availability", clear)
 	}
+}
+
+// catalogDemand is the demand of p's own catalog: every data item's key
+// at its weight.
+func catalogDemand(p *Program) []Demand {
+	var demand []Demand
+	for _, d := range p.Tree().DataIDs() {
+		k, _ := p.Tree().Key(d)
+		demand = append(demand, Demand{Key: k, Weight: p.Tree().Weight(d)})
+	}
+	return demand
 }

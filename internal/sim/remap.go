@@ -85,7 +85,8 @@ func (p *Program) Remap(phys []int, width int) (*Program, error) {
 					if c.Channel < 1 || c.Channel > p.k {
 						return nil, fmt.Errorf("sim: remap pointer to channel %d outside program width %d", c.Channel, p.k)
 					}
-					children[i] = Pointer{Channel: phys[c.Channel-1], Offset: c.Offset, Target: c.Target}
+					c.Channel = phys[c.Channel-1]
+					children[i] = c
 				}
 				b.Children = children
 			}

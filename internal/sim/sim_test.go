@@ -434,3 +434,13 @@ func TestEvaluatePerItemConsistent(t *testing.T) {
 		t.Fatalf("per-item access %g != aggregate %g", accSum/wSum, agg.AccessTime)
 	}
 }
+
+// timeline is the single-epoch timeline of p: how a test runs the keyed
+// protocol in a faulty environment on a static program.
+func (p *Program) timeline() *Timeline {
+	tl, err := NewTimeline(p, 0)
+	if err != nil {
+		panic(err)
+	}
+	return tl
+}
