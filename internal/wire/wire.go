@@ -66,11 +66,12 @@ var ErrChecksum = errors.New("wire: checksum mismatch")
 // crcTable is the Castagnoli polynomial (hardware-accelerated CRC32-C).
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-// Bucket kinds on the wire.
+// Bucket kinds on the wire: the values of sim.BucketKind, which a
+// client's session engine reads them as.
 const (
-	KindEmpty uint8 = iota
-	KindIndex
-	KindData
+	KindEmpty = uint8(sim.KindEmpty)
+	KindIndex = uint8(sim.KindIndex)
+	KindData  = uint8(sim.KindData)
 )
 
 // Pointer is a child reference: target channel and slot offset ahead.
@@ -290,11 +291,9 @@ func EncodeProgram(p *sim.Program, epoch uint32) ([][][]byte, error) {
 					wb.Kind = KindIndex
 				}
 				for _, c := range sb.Children {
-					ptr := Pointer{Channel: uint8(c.Channel), Offset: uint16(c.Offset)}
-					if lo, hi, ok := t.KeyRange(c.Target); ok {
-						ptr.KeyLo, ptr.KeyHi = lo, hi
-					}
-					wb.Pointers = append(wb.Pointers, ptr)
+					wb.Pointers = append(wb.Pointers, Pointer{
+						Channel: uint8(c.Channel), Offset: uint16(c.Offset), KeyLo: c.KeyLo, KeyHi: c.KeyHi,
+					})
 				}
 			}
 			data, err := wb.Marshal()
