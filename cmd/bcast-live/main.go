@@ -1,35 +1,27 @@
 // Command bcast-live runs the whole system for real: it optimizes a tree,
-// serves the wire-encoded broadcast over TCP on a loopback port, spawns
+// serves the wire-encoded broadcast over TCP on a loopback port, runs
 // concurrent clients that perform keyed lookups through the socket
-// protocol, and cross-checks every measured metric against the analytic
-// simulator. With -drop/-corrupt/-stall the broadcast medium is degraded
-// by the seeded fault model and the cross-check runs against the analytic
-// lossy simulator instead — the metrics, including retry counts, must
-// still match exactly.
+// protocol, and cross-checks every client against the analytic twin
+// (sim.Timeline.QuerySwitch; sim.Program.QueryBatch for -batch). The
+// metrics must match exactly, retries and recoveries included. Demos:
 //
-// With -outage CH:START:END (repeatable via commas) channels go dark for
-// whole windows of absolute slots: the tower's missed-tick watchdog
-// detects each outage, replans the catalog onto the surviving channels,
-// hot-swaps the survivor program at a cycle boundary, and replans back
-// to full width on recovery — while every client survives the dead air
-// through the failover protocol. The cross-check runs against the
-// analytic outage twin, Failovers included.
+//   - -drop/-corrupt/-stall degrade the medium with the seeded fault model.
+//   - -swap SLOT stages a re-optimized epoch-2 program once the clock
+//     reaches SLOT; the tower hot-swaps it at the next cycle boundary and
+//     descents that straddle the swap restart.
+//   - -outage CH:START:END[,...] darkens channels for windows of slots:
+//     the tower's watchdog replans onto the surviving channels and back,
+//     and clients survive the dead air by failing over.
+//   - -batch k1,k2,... makes every client retrieve that key set in one
+//     planned session (ReadBatch), conflicts and extra cycles included.
+//   - -kill SLOT tears the tower down, sockets and all, when the clock
+//     reaches SLOT, and warm-starts a fresh one from its last checkpoint
+//     on the same port after -restart-after slots; clients reconnect
+//     under the seeded backoff.
 //
-// With -batch k1,k2,... every client retrieves that whole key set in one
-// session: the conflict-aware planner computes a tune schedule across
-// channels (exact DP for small batches, greedy above), the analytic twin
-// predicts the metrics — conflicts and extra cycles included — and the
-// client executes the plan over the socket with ReadBatch. Live and
-// analytic metrics must match byte for byte, lossy medium or not.
-//
-// With -kill SLOT the station is crash-tested for real: the tower
-// checkpoints its epoch state at every cycle boundary, the process
-// tears it down — sockets and all — the moment the broadcast clock
-// reaches SLOT, and a fresh tower warm-starts from the checkpoint after
-// -restart-after slots of downtime, rebinding the same port. Every
-// client rides through the crash with the reconnect protocol (seeded
-// exponential backoff against the same port) and is cross-checked
-// against the analytic restart twin, Reconnects included.
+// Each demo is one scenario run by one driver. The driver's clock ticks
+// only while every client still in flight is attached to the current
+// tower, so no client misses a slot it is about to request.
 //
 // With -obs addr the process serves its observability endpoint — JSON
 // metrics at /metrics, recent trace events at /trace, and net/http/pprof
@@ -49,15 +41,19 @@
 package main
 
 import (
+	"cmp"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"net"
 	"os"
+	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"text/tabwriter"
 	"time"
 
@@ -131,21 +127,22 @@ func main() {
 	flag.IntVar(&opt.deadAir, "deadair", 0, "consecutive unusable reads before a client fails over (0 = default, negative = no failover)")
 	obsAddr := flag.String("obs", "", "serve /metrics, /trace and /debug/pprof on this address (bind loopback, e.g. 127.0.0.1:0)")
 	flag.Parse()
-	var err error
-	if opt.outages, err = parseOutages(*outageSpec); err != nil {
+	die := func(err error) {
 		fmt.Fprintln(os.Stderr, "bcast-live:", err)
 		os.Exit(1)
 	}
+	var err error
+	if opt.outages, err = parseOutages(*outageSpec); err != nil {
+		die(err)
+	}
 	if opt.batchKeys, err = parseBatchKeys(*batchSpec); err != nil {
-		fmt.Fprintln(os.Stderr, "bcast-live:", err)
-		os.Exit(1)
+		die(err)
 	}
 	var obsSrv *obs.Server
 	if *obsAddr != "" {
 		opt.obs = obs.NewWithOptions(obs.Options{Clock: func() int64 { return time.Now().UnixNano() }})
 		if obsSrv, err = obs.Serve(*obsAddr, opt.obs); err != nil {
-			fmt.Fprintln(os.Stderr, "bcast-live:", err)
-			os.Exit(1)
+			die(err)
 		}
 		fmt.Fprintf(os.Stderr, "obs: serving http://%s/metrics\n", obsSrv.Addr())
 	}
@@ -156,12 +153,35 @@ func main() {
 		opt.obs.WriteText(os.Stderr)
 	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "bcast-live:", err)
-		os.Exit(1)
+		die(err)
 	}
 }
 
+// validate rejects flag combinations no demo can run, before anything
+// is read, solved or put on the air.
+func (opt liveOpts) validate() error {
+	if opt.clients < 0 {
+		return fmt.Errorf("-clients %d is negative", opt.clients)
+	}
+	if opt.kill > 0 && opt.restartAfter < 1 {
+		return fmt.Errorf("-restart-after %d: the station must stay down at least one slot", opt.restartAfter)
+	}
+	demos := 0
+	for _, on := range []bool{len(opt.batchKeys) > 0, opt.outages.Enabled(), opt.swap > 0, opt.kill > 0} {
+		if on {
+			demos++
+		}
+	}
+	if demos > 1 {
+		return fmt.Errorf("-batch, -swap, -outage and -kill are separate demos; pick one")
+	}
+	return nil
+}
+
 func run(in string, opt liveOpts, w io.Writer) error {
+	if err := opt.validate(); err != nil {
+		return err
+	}
 	var data []byte
 	var err error
 	if in == "" {
@@ -190,133 +210,432 @@ func run(in string, opt liveOpts, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	demos := 0
-	for _, on := range []bool{len(opt.batchKeys) > 0, opt.outages.Enabled(), opt.swap > 0, opt.kill > 0} {
-		if on {
-			demos++
-		}
+	sc, err := newScenario(t, prog, opt)
+	if err != nil {
+		return err
 	}
-	if demos > 1 {
-		return fmt.Errorf("-batch, -swap, -outage and -kill are separate demos; pick one")
-	}
-	if len(opt.batchKeys) > 0 {
-		return runBatch(t, prog, opt, w)
-	}
-	if opt.outages.Enabled() {
-		return runOutage(t, prog, opt, w)
-	}
-	if opt.swap > 0 {
-		return runAdaptive(t, prog, opt, w)
+	d := &driver{sc: sc, prog: prog, w: w}
+	clients, err := d.predict(t, opt.seed, opt.clients)
+	if err != nil {
+		return err
 	}
 	if opt.kill > 0 {
-		return runRestart(t, prog, opt, w)
+		// The tower checkpoints every boundary; its restart warm-starts.
+		dir, err := os.MkdirTemp("", "bcast-live-ckpt")
+		if err != nil {
+			return err
+		}
+		defer os.RemoveAll(dir)
+		sc.server.CheckpointPath, sc.server.Resume = filepath.Join(dir, "station.ckpt"), true
 	}
-
-	model := fault.Model{Seed: opt.seed, Drop: opt.drop, Corrupt: opt.corrupt, Stall: opt.stall}
-	fc := sim.FaultConfig{Model: model, MaxRetries: opt.retries}
-	server, err := netcast.NewServerOpts(prog, netcast.ServerOptions{
-		Faults:   model,
-		StallFor: time.Millisecond,
-		Obs:      opt.obs,
-	})
-	if err != nil {
+	if err := d.start("127.0.0.1:0"); err != nil {
 		return err
 	}
-	defer server.Close()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	server.Serve(ln)
+	// Close the tower first: that ends any session still in flight.
+	var wg sync.WaitGroup
+	defer wg.Wait()
+	defer func() { d.srv.Close() }()
 	fmt.Fprintf(w, "broadcasting %d nodes over %d channels at %s (cycle %d slots)\n",
-		t.NumNodes(), opt.k, ln.Addr(), prog.CycleLen())
-	if model.Enabled() {
+		t.NumNodes(), opt.k, d.addr, prog.CycleLen())
+	if sc.banner != "" {
+		fmt.Fprintln(w, sc.banner)
+	}
+	if m := sc.env.Model; m.Enabled() {
 		fmt.Fprintf(w, "lossy medium: drop %.2f, corrupt %.2f, stall %.2f (seed %d)\n",
-			opt.drop, opt.corrupt, opt.stall, opt.seed)
+			m.Drop, m.Corrupt, m.Stall, m.Seed)
 	}
 	fmt.Fprintln(w)
-
-	power := sim.Power{Active: 1, Doze: 0.05}
-	rng := stats.NewRNG(opt.seed)
-	dataIDs := t.DataIDs()
-
-	type outcome struct {
-		idx     int
-		arrival int
-		key     int64
-		found   bool
-		m       sim.Metrics
-		want    sim.Metrics
-		err     error
-		wantErr error
+	for i := range clients {
+		wg.Add(1)
+		go func(cl *client) {
+			defer wg.Done()
+			d.session(cl)
+			d.finished.Add(1)
+		}(&clients[i])
 	}
-	done := make(chan outcome, opt.clients)
-	for i := 0; i < opt.clients; i++ {
-		target := dataIDs[rng.Intn(len(dataIDs))]
-		key, _ := t.Key(target)
-		arrival := rng.Intn(2 * prog.CycleLen())
-		want, wantErr := prog.QueryFaulty(arrival, target, power, fc)
-		if wantErr != nil && !errors.Is(wantErr, fault.ErrRetryBudget) {
-			return wantErr
-		}
-		go func(idx, arrival int, key int64, want sim.Metrics, wantErr error) {
-			c, err := netcast.Dial(ln.Addr().String())
-			if err != nil {
-				done <- outcome{idx: idx, err: err}
-				return
+	if err := d.clock(len(clients)); err != nil {
+		return err
+	}
+	return d.report(clients)
+}
+
+// scenario is one bcast-live demo: the static, lossy, batch, -swap,
+// -outage and -kill runs differ only in this value.
+type scenario struct {
+	// tl is the broadcast as the analytic twin sees it; the tower airs
+	// the same epochs at the same slots.
+	tl *sim.Timeline
+	// env is the one fault environment: the twin evaluates under it and
+	// every client reads MaxRetries, DeadAir and Backoff from it. A crash
+	// schedule in env.Downtimes arms every client's reconnect.
+	env sim.FaultConfig
+	// server configures every tower the driver brings up.
+	server netcast.ServerOptions
+	// stages are the programs the tower stages, in order: at the -swap
+	// clock event, or at each watchdog live-set change under -outage.
+	stages []*sim.Program
+	// span bounds client arrivals: each is drawn from [0, span).
+	span int
+	// event, when non-nil, fires once when the clock reaches eventAt.
+	event   func(*driver) error
+	eventAt int
+	// batch, when non-nil, is the key set every client retrieves as one
+	// batch the planner schedules, instead of a single random lookup.
+	batch   []tree.ID
+	planner *retrieval.Planner
+	// banner describes the demo under the broadcasting line; noun and
+	// twin name the sessions and their simulator in the success line,
+	// which summary opens from the tower and the clients' summed metrics.
+	banner, noun, twin string
+	summary            func(srv *netcast.Server, sum sim.Metrics) string
+}
+
+// newScenario builds the scenario opt selects over prog, compiled from t.
+func newScenario(t *tree.Tree, prog *sim.Program, opt liveOpts) (*scenario, error) {
+	L := prog.CycleLen()
+	model := fault.Model{Seed: opt.seed, Drop: opt.drop, Corrupt: opt.corrupt, Stall: opt.stall}
+	static, err := sim.NewTimeline(prog, 0)
+	if err != nil {
+		return nil, err
+	}
+	sc := &scenario{
+		tl:      static,
+		env:     sim.FaultConfig{Model: model, MaxRetries: opt.retries},
+		server:  netcast.ServerOptions{Faults: model, StallFor: time.Millisecond, Obs: opt.obs},
+		span:    2 * L,
+		noun:    "lookups",
+		twin:    "analytic",
+		summary: func(*netcast.Server, sim.Metrics) string { return "" },
+	}
+	switch {
+	case len(opt.batchKeys) > 0:
+		ids := t.DataIDs()
+		for _, key := range opt.batchKeys {
+			i := slices.IndexFunc(ids, func(id tree.ID) bool { k, _ := t.Key(id); return k == key })
+			if i < 0 {
+				return nil, fmt.Errorf("-batch key %d is not in the catalog", key)
 			}
-			defer c.Close()
-			c.MaxRetries = opt.retries
-			c.Instrument(opt.obs)
-			found, _, m, err := c.Lookup(arrival, key, power)
-			done <- outcome{idx, arrival, key, found, m, want, err, wantErr}
-		}(i, arrival, key, want, wantErr)
-	}
-
-	// Drive the broadcast once every client is connected, so nobody's
-	// arrival slot can pass before they are registered. The tick budget
-	// covers the worst case of every client exhausting its retry budget.
-	go func() {
-		server.AwaitConns(opt.clients)
-		budget := opt.retries
-		if budget <= 0 {
-			budget = sim.DefaultMaxRetries
+			sc.batch = append(sc.batch, ids[i])
 		}
-		server.Run((2*(opt.clients+2) + budget + 8) * prog.CycleLen())
-	}()
+		cfg := retrieval.Config{Obs: opt.obs}
+		if opt.obs != nil {
+			cfg.Now = func() int64 { return time.Now().UnixNano() }
+		}
+		sc.planner = retrieval.New(cfg)
+		sc.banner = fmt.Sprintf("batch retrieval: %d keys per client %v", len(sc.batch), opt.batchKeys)
+		sc.noun = "batch retrievals"
+		sc.summary = func(_ *netcast.Server, sum sim.Metrics) string {
+			return fmt.Sprintf("%d conflicts rescheduled; ", sum.Conflicts)
+		}
 
-	tw := tabwriter.NewWriter(w, 2, 0, 2, ' ', 0)
-	fmt.Fprintln(tw, "client\tarrival\tkey\tfound\taccess\ttuning\tretries\tenergy\tmatches simulator")
+	case opt.swap > 0:
+		prog2, err := rebuildRotated(t, opt.k)
+		if err != nil {
+			return nil, err
+		}
+		if sc.tl, err = sim.NewTimeline(prog, 1); err != nil {
+			return nil, err
+		}
+		swapSlot, err := sc.tl.Append(prog2, 2, opt.swap)
+		if err != nil {
+			return nil, err
+		}
+		sc.stages = []*sim.Program{prog2}
+		sc.event, sc.eventAt = (*driver).stage, opt.swap
+		// Arrivals cluster around the swap so descents straddle it.
+		sc.span = swapSlot + 2*prog2.CycleLen()
+		sc.banner = fmt.Sprintf("hot swap: epoch 2 (cycle %d slots) staged at slot %d, lands at cycle boundary %d",
+			prog2.CycleLen(), opt.swap, swapSlot)
+		sc.twin = "adaptive"
+		sc.summary = func(srv *netcast.Server, sum sim.Metrics) string {
+			return fmt.Sprintf("swaps landed: %d; %d descent restarts; ", srv.Swaps(), sum.Restarts)
+		}
+
+	case opt.outages.Enabled():
+		wdog := cmp.Or(opt.watchdog, netcast.DefaultWatchdog)
+		deadAir := cmp.Or(opt.deadAir, sim.DefaultDeadAir)
+		maxEnd := 0
+		for _, o := range opt.outages {
+			maxEnd = max(maxEnd, o.EndSlot)
+		}
+		// The last detection is the recovery a watchdog's worth of live
+		// slots after the last window closes; the tower's watchdog sees
+		// the same schedule, so both replan at the same slots.
+		events := opt.outages.Detections(opt.k, wdog, maxEnd+wdog)
+		if sc.stages, err = experiment.ReplanPrograms(prog, events, opt.k); err != nil {
+			return nil, err
+		}
+		var replans int
+		if sc.tl, replans, err = experiment.ReplanTimeline(prog, events, sc.stages); err != nil {
+			return nil, err
+		}
+		sc.env.Outages, sc.env.DeadAir = opt.outages, deadAir
+		sc.server.Outages, sc.server.Watchdog = opt.outages, wdog
+		// Arrivals spread across the outage windows so sessions hit dead
+		// air before, during, and after the replans.
+		sc.span = maxEnd + 2*L
+		sc.banner = fmt.Sprintf("outages: %v; watchdog %d, dead air %d, %d replans will air",
+			opt.outages, wdog, deadAir, replans)
+		sc.twin = "outage"
+		sc.summary = func(srv *netcast.Server, sum sim.Metrics) string {
+			return fmt.Sprintf("swaps landed: %d; channels live: %v; %d channel failovers; ",
+				srv.Swaps(), srv.ChannelsLive(), sum.Failovers)
+		}
+
+	case opt.kill > 0:
+		down := fault.Downtime{StartSlot: opt.kill, EndSlot: opt.kill + opt.restartAfter}
+		sc.env.Downtimes, sc.env.Backoff = fault.Downtimes{down}, fault.Backoff{Seed: opt.seed}
+		sc.event, sc.eventAt = (*driver).restart, opt.kill
+		// Arrivals spread up to the crash so sessions straddle it.
+		sc.span = opt.kill + L
+		sc.banner = fmt.Sprintf("crash test: station dies at slot %d, warm-starts from its checkpoint at slot %d",
+			down.StartSlot, down.EndSlot)
+		sc.twin = "restart"
+		sc.summary = func(_ *netcast.Server, sum sim.Metrics) string {
+			return fmt.Sprintf("%d client reconnects; ", sum.Reconnects)
+		}
+	}
+	return sc, nil
+}
+
+// power is every client's radio: doze costs a twentieth of listening.
+var power = sim.Power{Active: 1, Doze: 0.05}
+
+// client is one live session and the twin's prediction for it.
+type client struct {
+	arrival          int
+	key              int64
+	plan             *sim.BatchPlan // batch scenarios only
+	want, m          sim.Metrics    // predicted and measured
+	wantFound, found bool
+	wantErr, err     error
+}
+
+// driver runs one scenario: the tower, the clients and the clock.
+type driver struct {
+	sc   *scenario
+	prog *sim.Program
+	w    io.Writer
+	addr string
+	// mu orders client redials against the -kill restart, so a redial
+	// never sees the port between the old tower and the new one.
+	mu     sync.Mutex
+	killed bool
+	// srv and reg are the tower on the air; only the clock goroutine
+	// touches them once the clients are running.
+	srv *netcast.Server
+	reg *epoch.Registry
+	// staged counts the scenario programs staged so far; stageErr keeps
+	// a staging failure inside the watchdog callback for the clock.
+	staged   int
+	stageErr error
+	// finished counts the clients whose sessions are over and whose
+	// connections the tower has let go of.
+	finished atomic.Int64
+}
+
+// predict draws every client's arrival (and key) from the seed and asks
+// the twin what the session will measure.
+func (d *driver) predict(t *tree.Tree, seed int64, n int) ([]client, error) {
+	rng := stats.NewRNG(seed)
+	dataIDs := t.DataIDs()
+	clients := make([]client, n)
+	for i := range clients {
+		cl := &clients[i]
+		if d.sc.batch == nil {
+			cl.key, _ = t.Key(dataIDs[rng.Intn(len(dataIDs))])
+		}
+		cl.arrival = rng.Intn(d.sc.span)
+		var err error
+		if d.sc.batch == nil {
+			cl.want, cl.wantFound, cl.wantErr = d.sc.tl.QuerySwitch(cl.arrival, cl.key, power, d.sc.env)
+		} else if cl.plan, err = d.sc.planner.PlanBatch(d.prog, cl.arrival, d.sc.batch); err != nil {
+			return nil, err
+		} else {
+			cl.want, cl.wantErr = d.prog.QueryBatch(cl.plan, power, d.sc.env)
+			cl.wantFound = cl.wantErr == nil
+		}
+		if cl.wantErr != nil && !errors.Is(cl.wantErr, fault.ErrRetryBudget) {
+			return nil, cl.wantErr
+		}
+	}
+	return clients, nil
+}
+
+// start brings up a tower airing the scenario on addr: cold on first
+// start, warm from the checkpoint when the scenario keeps one.
+func (d *driver) start(addr string) error {
+	reg, err := epoch.NewRegistry(d.prog)
+	if err != nil {
+		return err
+	}
+	opts := d.sc.server
+	opts.OnLiveChange = func([]int, int) { d.stageErr = errors.Join(d.stageErr, d.stage()) }
+	srv, err := netcast.NewAdaptiveServer(reg, opts)
+	if err != nil {
+		return err
+	}
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		srv.Close()
+		return err
+	}
+	srv.Serve(ln)
+	d.srv, d.reg, d.addr = srv, reg, ln.Addr().String()
+	return nil
+}
+
+// stage parks the scenario's next program on the tower's registry; it
+// lands at the tower's next cycle boundary.
+func (d *driver) stage() error {
+	if d.staged == len(d.sc.stages) {
+		return nil
+	}
+	d.staged++
+	_, err := d.reg.Stage(d.sc.stages[d.staged-1])
+	return err
+}
+
+// restart kills the tower — listener, sockets and all — and warm-starts
+// a fresh one from its last checkpoint on the same port. Redials wait
+// for the new tower and are refused while the downtime window holds.
+func (d *driver) restart() error {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.srv.Close()
+	d.killed = true
+	if err := d.start(d.addr); err != nil {
+		return err
+	}
+	fmt.Fprintf(d.w, "station killed at slot %d; warm=%v, resumed at boundary %d\n\n",
+		d.sc.eventAt, d.srv.Warm(), d.srv.Now())
+	return nil
+}
+
+// dial connects a client to the station for a session listening from
+// slot: the one dial site, for first connections and reconnects alike.
+func (d *driver) dial(slot int) (net.Conn, error) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.killed && slot < d.sc.env.Downtimes[0].EndSlot {
+		return nil, fmt.Errorf("station down at slot %d", slot)
+	}
+	return net.Dial("tcp", d.addr)
+}
+
+// session runs one client against the tower and records what it
+// measured. It returns only once the tower has let go of the client's
+// connection.
+func (d *driver) session(cl *client) {
+	conn, err := d.dial(cl.arrival)
+	if err != nil {
+		cl.err = err
+		return
+	}
+	c := netcast.NewClient(conn)
+	c.MaxRetries, c.DeadAir, c.Backoff = d.sc.env.MaxRetries, d.sc.env.DeadAir, d.sc.env.Backoff
+	c.Channels = d.prog.Channels()
+	c.Instrument(d.sc.server.Obs)
+	if d.sc.env.Downtimes.Enabled() {
+		c.Redial = func(slot int) (net.Conn, error) {
+			nc, err := d.dial(slot)
+			if err == nil {
+				conn = nc
+			}
+			return nc, err
+		}
+	}
+	if cl.plan != nil {
+		cl.m, cl.err = c.ReadBatch(cl.plan, power)
+		cl.found = cl.err == nil
+	} else {
+		cl.found, _, cl.m, cl.err = c.Lookup(cl.arrival, cl.key, power)
+	}
+	// The session has detached. The tower unregisters a connection
+	// before it closes its end, so once this read sees EOF the clock can
+	// no longer count the client as attached.
+	io.Copy(io.Discard, conn)
+	c.Close()
+}
+
+// clock drives the broadcast until every client has reported and the
+// timeline's last epoch has landed (so swap counts and the live channel
+// set are final). It fires the scenario's event when the clock reaches
+// its slot, and ticks only while every client still in flight is
+// attached to the current tower: a clock that ran ahead would air slots
+// a client still dialing or redialing is about to request.
+func (d *driver) clock(clients int) error {
+	entries := d.sc.tl.Entries()
+	last := entries[len(entries)-1].Start
+	fired := d.sc.event == nil
+	for {
+		finished, now := int(d.finished.Load()), d.srv.Now()
+		switch {
+		case finished == clients && now > last:
+			return nil
+		case !fired && now >= d.sc.eventAt:
+			fired = true
+			if err := d.sc.event(d); err != nil {
+				return err
+			}
+		case d.srv.Conns() < clients-finished:
+			time.Sleep(100 * time.Microsecond)
+		default:
+			if err := d.srv.Tick(); err != nil {
+				return err
+			}
+			if d.stageErr != nil {
+				return d.stageErr
+			}
+		}
+	}
+}
+
+// report prints one row per client in client order and the verdict. A
+// budget exhaustion the twin also predicts is an agreement, not a
+// failure.
+func (d *driver) report(clients []client) error {
+	tw := tabwriter.NewWriter(d.w, 2, 0, 2, ' ', 0)
+	fmt.Fprintln(tw, "client\tarrival\tkey\tfound\taccess\ttuning\tretries\trestarts\tfailovers\treconnects\tenergy\tmatches simulator")
+	var sum sim.Metrics
 	failures := 0
-	for i := 0; i < opt.clients; i++ {
-		o := <-done
-		if o.err != nil {
-			// A budget exhaustion the analytic simulator also predicts is
-			// an agreement, not a failure.
-			if errors.Is(o.err, fault.ErrRetryBudget) && errors.Is(o.wantErr, fault.ErrRetryBudget) {
-				fmt.Fprintf(tw, "%d\t%d\t%d\t-\t-\t-\t-\t-\tbudget exhausted (as predicted)\n",
-					o.idx, o.arrival, o.key)
+	for i, cl := range clients {
+		key := strconv.FormatInt(cl.key, 10)
+		if cl.plan != nil {
+			key = fmt.Sprintf("%d keys", len(d.sc.batch))
+		}
+		if cl.err != nil {
+			if errors.Is(cl.err, fault.ErrRetryBudget) && errors.Is(cl.wantErr, fault.ErrRetryBudget) {
+				fmt.Fprintf(tw, "%d\t%d\t%s\t-\t-\t-\t-\t-\t-\t-\t-\tbudget exhausted (as predicted)\n",
+					i, cl.arrival, key)
 				continue
 			}
-			return fmt.Errorf("client %d: %w", o.idx, o.err)
+			return fmt.Errorf("client %d: %w", i, cl.err)
 		}
-		if o.wantErr != nil {
-			return fmt.Errorf("client %d: simulator predicted %v but the socket lookup succeeded", o.idx, o.wantErr)
+		if cl.wantErr != nil {
+			return fmt.Errorf("client %d: simulator predicted %v but the socket session succeeded", i, cl.wantErr)
 		}
-		match := o.m == o.want
-		if !match || !o.found {
+		m := cl.m
+		match := m == cl.want && cl.found == cl.wantFound
+		if !match || !cl.found {
 			failures++
 		}
-		fmt.Fprintf(tw, "%d\t%d\t%d\t%v\t%d\t%d\t%d\t%.2f\t%v\n",
-			o.idx, o.arrival, o.key, o.found, o.m.AccessTime, o.m.TuningTime, o.m.Retries, o.m.Energy, match)
+		sum.Restarts += m.Restarts
+		sum.Failovers += m.Failovers
+		sum.Reconnects += m.Reconnects
+		sum.Conflicts += m.Conflicts
+		fmt.Fprintf(tw, "%d\t%d\t%s\t%v\t%d\t%d\t%d\t%d\t%d\t%d\t%.2f\t%v\n",
+			i, cl.arrival, key, cl.found, m.AccessTime, m.TuningTime,
+			m.Retries, m.Restarts, m.Failovers, m.Reconnects, m.Energy, match)
 	}
 	if err := tw.Flush(); err != nil {
 		return err
 	}
 	if failures > 0 {
-		return fmt.Errorf("%d of %d clients diverged from the simulator", failures, opt.clients)
+		return fmt.Errorf("%d of %d clients diverged from the %s simulator", failures, len(clients), d.sc.twin)
 	}
-	fmt.Fprintf(w, "\nall %d live lookups matched the analytic simulator exactly\n", opt.clients)
+	fmt.Fprintf(d.w, "\n%sall %d live %s matched the %s simulator exactly\n",
+		d.sc.summary(d.srv, sum), len(clients), d.sc.noun, d.sc.twin)
 	return nil
 }
 
@@ -336,525 +655,6 @@ func parseBatchKeys(s string) ([]int64, error) {
 	return keys, nil
 }
 
-// runBatch serves the broadcast while every client retrieves the whole
-// -batch key set in one planned session: the conflict-aware planner
-// schedules the reads across channels for each client's arrival, the
-// analytic twin predicts the session's metrics, and the client executes
-// the identical plan over the socket. Plan-level conflict accounting
-// (targets spilled to later cycles) must agree on both paths.
-func runBatch(t *tree.Tree, prog *sim.Program, opt liveOpts, w io.Writer) error {
-	byKey := make(map[int64]tree.ID, len(t.DataIDs()))
-	for _, id := range t.DataIDs() {
-		key, _ := t.Key(id)
-		byKey[key] = id
-	}
-	targets := make([]tree.ID, len(opt.batchKeys))
-	for i, key := range opt.batchKeys {
-		id, ok := byKey[key]
-		if !ok {
-			return fmt.Errorf("-batch key %d is not in the catalog", key)
-		}
-		targets[i] = id
-	}
-
-	model := fault.Model{Seed: opt.seed, Drop: opt.drop, Corrupt: opt.corrupt, Stall: opt.stall}
-	fc := sim.FaultConfig{Model: model, MaxRetries: opt.retries}
-	cfg := retrieval.Config{Obs: opt.obs}
-	if opt.obs != nil {
-		cfg.Now = func() int64 { return time.Now().UnixNano() }
-	}
-	planner := retrieval.New(cfg)
-	server, err := netcast.NewServerOpts(prog, netcast.ServerOptions{
-		Faults:   model,
-		StallFor: time.Millisecond,
-		Obs:      opt.obs,
-	})
-	if err != nil {
-		return err
-	}
-	defer server.Close()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	server.Serve(ln)
-	fmt.Fprintf(w, "broadcasting %d nodes over %d channels at %s (cycle %d slots)\n",
-		t.NumNodes(), opt.k, ln.Addr(), prog.CycleLen())
-	fmt.Fprintf(w, "batch retrieval: %d keys per client %v\n", len(targets), opt.batchKeys)
-	if model.Enabled() {
-		fmt.Fprintf(w, "lossy medium: drop %.2f, corrupt %.2f, stall %.2f (seed %d)\n",
-			opt.drop, opt.corrupt, opt.stall, opt.seed)
-	}
-	fmt.Fprintln(w)
-
-	power := sim.Power{Active: 1, Doze: 0.05}
-	rng := stats.NewRNG(opt.seed)
-
-	type outcome struct {
-		idx     int
-		arrival int
-		m       sim.Metrics
-		want    sim.Metrics
-		err     error
-		wantErr error
-	}
-	done := make(chan outcome, opt.clients)
-	maxNeed := 0
-	for i := 0; i < opt.clients; i++ {
-		arrival := rng.Intn(2 * prog.CycleLen())
-		plan, err := planner.PlanBatch(prog, arrival, targets)
-		if err != nil {
-			return err
-		}
-		if need := plan.Arrival + plan.Makespan(); need > maxNeed {
-			maxNeed = need
-		}
-		want, wantErr := prog.QueryBatch(plan, power, fc)
-		if wantErr != nil && !errors.Is(wantErr, fault.ErrRetryBudget) {
-			return wantErr
-		}
-		go func(idx, arrival int, plan *sim.BatchPlan, want sim.Metrics, wantErr error) {
-			c, err := netcast.Dial(ln.Addr().String())
-			if err != nil {
-				done <- outcome{idx: idx, err: err}
-				return
-			}
-			defer c.Close()
-			c.MaxRetries = opt.retries
-			c.Instrument(opt.obs)
-			m, err := c.ReadBatch(plan, power)
-			done <- outcome{idx, arrival, m, want, err, wantErr}
-		}(i, arrival, plan, want, wantErr)
-	}
-
-	go func() {
-		server.AwaitConns(opt.clients)
-		budget := opt.retries
-		if budget <= 0 {
-			budget = sim.DefaultMaxRetries
-		}
-		server.Run(maxNeed + (2*(opt.clients+2)+budget+8)*prog.CycleLen())
-	}()
-
-	tw := tabwriter.NewWriter(w, 2, 0, 2, ' ', 0)
-	fmt.Fprintln(tw, "client\tarrival\tkeys\taccess\tprobe\ttuning\tretries\tconflicts\textra cycles\tenergy\tmatches simulator")
-	failures, conflicts := 0, 0
-	for i := 0; i < opt.clients; i++ {
-		o := <-done
-		if o.err != nil {
-			if errors.Is(o.err, fault.ErrRetryBudget) && errors.Is(o.wantErr, fault.ErrRetryBudget) {
-				fmt.Fprintf(tw, "%d\t%d\t%d\t-\t-\t-\t-\t-\t-\t-\tbudget exhausted (as predicted)\n",
-					o.idx, o.arrival, len(targets))
-				continue
-			}
-			return fmt.Errorf("client %d: %w", o.idx, o.err)
-		}
-		if o.wantErr != nil {
-			return fmt.Errorf("client %d: simulator predicted %v but the socket batch succeeded", o.idx, o.wantErr)
-		}
-		match := o.m == o.want
-		if !match {
-			failures++
-		}
-		conflicts += o.m.Conflicts
-		fmt.Fprintf(tw, "%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%.2f\t%v\n",
-			o.idx, o.arrival, len(targets), o.m.AccessTime, o.m.ProbeWait, o.m.TuningTime,
-			o.m.Retries, o.m.Conflicts, o.m.ExtraCycles, o.m.Energy, match)
-	}
-	if err := tw.Flush(); err != nil {
-		return err
-	}
-	if failures > 0 {
-		return fmt.Errorf("%d of %d clients diverged from the batch simulator", failures, opt.clients)
-	}
-	fmt.Fprintf(w, "\n%d conflicts rescheduled; all %d live batch retrievals matched the analytic simulator exactly\n",
-		conflicts, opt.clients)
-	return nil
-}
-
-// rebuildRotated re-optimizes the same catalog under rotated demand: each
-// key inherits its successor's weight, the shifting-popularity workload a
-// real tower re-plans for. Keys and channel count are unchanged, so the
-// epoch-2 tree is a legal hot-swap target.
-func rebuildRotated(t *tree.Tree, channels int) (*sim.Program, error) {
-	ids := t.DataIDs()
-	items := make([]alphatree.Item, len(ids))
-	for i, id := range ids {
-		key, _ := t.Key(id)
-		items[i] = alphatree.Item{Label: t.Label(id), Key: key, Weight: t.Weight(id)}
-	}
-	weights := make([]float64, len(items))
-	for i := range items {
-		weights[i] = items[(i+1)%len(items)].Weight
-	}
-	for i := range items {
-		items[i].Weight = weights[i]
-	}
-	next, err := alphatree.HuTucker(items)
-	if err != nil {
-		return nil, err
-	}
-	sol, err := core.Solve(next, core.Config{Channels: channels})
-	if err != nil {
-		return nil, err
-	}
-	return sim.Compile(sol.Alloc, sim.Options{FillWithRootCopies: true})
-}
-
-// runAdaptive serves the epoch-versioned broadcast: prog airs as epoch 1,
-// a rebuilt program is staged once the clock reaches opt.swap, the tower
-// swaps it in at the next cycle boundary, and every client — whose
-// descent may straddle the swap and restart — is cross-checked against
-// the adaptive analytic simulator, Restarts included.
-func runAdaptive(t *tree.Tree, prog *sim.Program, opt liveOpts, w io.Writer) error {
-	prog2, err := rebuildRotated(t, opt.k)
-	if err != nil {
-		return err
-	}
-	tl, err := sim.NewTimeline(prog, 1)
-	if err != nil {
-		return err
-	}
-	swapSlot, err := tl.Append(prog2, 2, opt.swap)
-	if err != nil {
-		return err
-	}
-
-	model := fault.Model{Seed: opt.seed, Drop: opt.drop, Corrupt: opt.corrupt, Stall: opt.stall}
-	fc := sim.FaultConfig{Model: model, MaxRetries: opt.retries}
-	reg, err := epoch.NewRegistry(prog)
-	if err != nil {
-		return err
-	}
-	server, err := netcast.NewAdaptiveServer(reg, netcast.ServerOptions{
-		Faults:   model,
-		StallFor: time.Millisecond,
-		Obs:      opt.obs,
-	})
-	if err != nil {
-		return err
-	}
-	defer server.Close()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	server.Serve(ln)
-	fmt.Fprintf(w, "broadcasting %d nodes over %d channels at %s (epoch 1, cycle %d slots)\n",
-		t.NumNodes(), opt.k, ln.Addr(), prog.CycleLen())
-	fmt.Fprintf(w, "hot swap: epoch 2 (cycle %d slots) staged at slot %d, lands at cycle boundary %d\n",
-		prog2.CycleLen(), opt.swap, swapSlot)
-	if model.Enabled() {
-		fmt.Fprintf(w, "lossy medium: drop %.2f, corrupt %.2f, stall %.2f (seed %d)\n",
-			opt.drop, opt.corrupt, opt.stall, opt.seed)
-	}
-	fmt.Fprintln(w)
-
-	power := sim.Power{Active: 1, Doze: 0.05}
-	rng := stats.NewRNG(opt.seed)
-	dataIDs := t.DataIDs()
-
-	type outcome struct {
-		idx     int
-		arrival int
-		key     int64
-		found   bool
-		m       sim.Metrics
-		want    sim.Metrics
-		err     error
-		wantErr error
-	}
-	done := make(chan outcome, opt.clients)
-	for i := 0; i < opt.clients; i++ {
-		key, _ := t.Key(dataIDs[rng.Intn(len(dataIDs))])
-		// Arrivals cluster around the swap so descents straddle it.
-		arrival := rng.Intn(swapSlot + 2*prog2.CycleLen())
-		want, _, wantErr := tl.QuerySwitch(arrival, key, power, fc)
-		if wantErr != nil && !errors.Is(wantErr, fault.ErrRetryBudget) {
-			return wantErr
-		}
-		go func(idx, arrival int, key int64, want sim.Metrics, wantErr error) {
-			c, err := netcast.Dial(ln.Addr().String())
-			if err != nil {
-				done <- outcome{idx: idx, err: err}
-				return
-			}
-			defer c.Close()
-			c.MaxRetries = opt.retries
-			c.Instrument(opt.obs)
-			found, _, m, err := c.Lookup(arrival, key, power)
-			done <- outcome{idx, arrival, key, found, m, want, err, wantErr}
-		}(i, arrival, key, want, wantErr)
-	}
-
-	go func() {
-		server.AwaitConns(opt.clients)
-		server.Run(opt.swap)
-		if _, err := reg.Stage(prog2); err != nil {
-			return
-		}
-		budget := opt.retries
-		if budget <= 0 {
-			budget = sim.DefaultMaxRetries
-		}
-		server.Run(swapSlot - opt.swap + (2*(opt.clients+2)+budget+8)*(prog.CycleLen()+prog2.CycleLen()))
-	}()
-
-	tw := tabwriter.NewWriter(w, 2, 0, 2, ' ', 0)
-	fmt.Fprintln(tw, "client\tarrival\tkey\tfound\taccess\ttuning\tretries\trestarts\tenergy\tmatches simulator")
-	failures, restarts := 0, 0
-	for i := 0; i < opt.clients; i++ {
-		o := <-done
-		if o.err != nil {
-			if errors.Is(o.err, fault.ErrRetryBudget) && errors.Is(o.wantErr, fault.ErrRetryBudget) {
-				fmt.Fprintf(tw, "%d\t%d\t%d\t-\t-\t-\t-\t-\t-\tbudget exhausted (as predicted)\n",
-					o.idx, o.arrival, o.key)
-				continue
-			}
-			return fmt.Errorf("client %d: %w", o.idx, o.err)
-		}
-		if o.wantErr != nil {
-			return fmt.Errorf("client %d: simulator predicted %v but the socket lookup succeeded", o.idx, o.wantErr)
-		}
-		match := o.m == o.want
-		if !match {
-			failures++
-		}
-		restarts += o.m.Restarts
-		fmt.Fprintf(tw, "%d\t%d\t%d\t%v\t%d\t%d\t%d\t%d\t%.2f\t%v\n",
-			o.idx, o.arrival, o.key, o.found, o.m.AccessTime, o.m.TuningTime, o.m.Retries, o.m.Restarts, o.m.Energy, match)
-	}
-	if err := tw.Flush(); err != nil {
-		return err
-	}
-	if failures > 0 {
-		return fmt.Errorf("%d of %d clients diverged from the adaptive simulator", failures, opt.clients)
-	}
-	fmt.Fprintf(w, "\nswaps landed: %d; %d descent restarts; all %d live lookups matched the adaptive simulator exactly\n",
-		server.Swaps(), restarts, opt.clients)
-	return nil
-}
-
-// runRestart crash-tests the station: the tower checkpoints at every
-// cycle boundary, dies — listener, sockets and all — the moment its
-// clock reaches opt.kill, and a fresh process warm-starts from the
-// checkpoint on the same port once the downtime window has passed.
-// Clients that were mid-session reconnect under the seeded backoff and
-// finish against the restored broadcast; every session is cross-checked
-// against the analytic restart twin, Reconnects included.
-func runRestart(t *tree.Tree, prog *sim.Program, opt liveOpts, w io.Writer) error {
-	dir, err := os.MkdirTemp("", "bcast-live-ckpt")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(dir)
-	sopts := netcast.ServerOptions{
-		Faults:         fault.Model{Seed: opt.seed, Drop: opt.drop, Corrupt: opt.corrupt, Stall: opt.stall},
-		StallFor:       time.Millisecond,
-		Obs:            opt.obs,
-		CheckpointPath: dir + "/station.ckpt",
-		Resume:         true,
-	}
-	down := fault.Downtime{StartSlot: opt.kill, EndSlot: opt.kill + opt.restartAfter}
-	bo := fault.Backoff{Seed: opt.seed}
-	env := sim.FaultConfig{
-		Model:      sopts.Faults,
-		Downtimes:  fault.Downtimes{down},
-		Backoff:    bo,
-		MaxRetries: opt.retries,
-	}
-	static, err := sim.NewTimeline(prog, 0)
-	if err != nil {
-		return err
-	}
-
-	reg, err := epoch.NewRegistry(prog)
-	if err != nil {
-		return err
-	}
-	server, err := netcast.NewAdaptiveServer(reg, sopts)
-	if err != nil {
-		return err
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	server.Serve(ln)
-	addr := ln.Addr().String()
-
-	// station guards the kill/warm-restart transition: a client redial
-	// observed after the crash blocks here until the new tower is
-	// accepting, and is refused while the downtime window holds.
-	var station struct {
-		mu     sync.Mutex
-		cur    *netcast.Server
-		killed bool
-	}
-	station.cur = server
-	defer func() {
-		station.mu.Lock()
-		cur := station.cur
-		station.mu.Unlock()
-		if cur != nil {
-			cur.Close()
-		}
-	}()
-	redial := func(slot int) (net.Conn, error) {
-		station.mu.Lock()
-		defer station.mu.Unlock()
-		if station.cur == nil || (station.killed && slot < down.EndSlot) {
-			return nil, fmt.Errorf("station down at slot %d", slot)
-		}
-		return net.Dial("tcp", addr)
-	}
-
-	fmt.Fprintf(w, "broadcasting %d nodes over %d channels at %s (cycle %d slots)\n",
-		t.NumNodes(), opt.k, addr, prog.CycleLen())
-	fmt.Fprintf(w, "crash test: station dies at slot %d, warm-starts from its checkpoint at slot %d\n",
-		down.StartSlot, down.EndSlot)
-	if sopts.Faults.Enabled() {
-		fmt.Fprintf(w, "lossy medium: drop %.2f, corrupt %.2f, stall %.2f (seed %d)\n",
-			opt.drop, opt.corrupt, opt.stall, opt.seed)
-	}
-	fmt.Fprintln(w)
-
-	power := sim.Power{Active: 1, Doze: 0.05}
-	rng := stats.NewRNG(opt.seed)
-	dataIDs := t.DataIDs()
-
-	type outcome struct {
-		idx     int
-		arrival int
-		key     int64
-		found   bool
-		m       sim.Metrics
-		want    sim.Metrics
-		err     error
-		wantErr error
-	}
-	done := make(chan outcome, opt.clients)
-	for i := 0; i < opt.clients; i++ {
-		key, _ := t.Key(dataIDs[rng.Intn(len(dataIDs))])
-		// Arrivals spread up to the crash so sessions straddle it.
-		arrival := rng.Intn(opt.kill + prog.CycleLen())
-		want, _, wantErr := static.QuerySwitch(arrival, key, power, env)
-		if wantErr != nil && !errors.Is(wantErr, fault.ErrRetryBudget) {
-			return wantErr
-		}
-		go func(idx, arrival int, key int64, want sim.Metrics, wantErr error) {
-			c, err := netcast.Dial(addr)
-			if err != nil {
-				done <- outcome{idx: idx, err: err}
-				return
-			}
-			defer c.Close()
-			c.MaxRetries = opt.retries
-			c.Backoff = bo
-			c.Redial = redial
-			c.Instrument(opt.obs)
-			found, _, m, err := c.Lookup(arrival, key, power)
-			done <- outcome{idx, arrival, key, found, m, want, err, wantErr}
-		}(i, arrival, key, want, wantErr)
-	}
-
-	// Drive the broadcast by hand: tick only while a session is in
-	// flight (a free-running clock would outpace reconnecting clients),
-	// and fire the crash the moment the clock reaches the kill slot.
-	stop := make(chan struct{})
-	driveDone := make(chan error, 1)
-	go func() {
-		server.AwaitConns(opt.clients)
-		for {
-			select {
-			case <-stop:
-				driveDone <- nil
-				return
-			default:
-			}
-			station.mu.Lock()
-			cur := station.cur
-			station.mu.Unlock()
-			if !station.killed && cur.Now() >= down.StartSlot {
-				station.mu.Lock()
-				cur.Close()
-				reg2, err := epoch.NewRegistry(prog)
-				if err == nil {
-					station.cur, err = netcast.NewAdaptiveServer(reg2, sopts)
-				}
-				if err != nil {
-					station.cur = nil
-					station.mu.Unlock()
-					driveDone <- err
-					return
-				}
-				ln2, err := net.Listen("tcp", addr)
-				if err != nil {
-					station.mu.Unlock()
-					driveDone <- err
-					return
-				}
-				station.cur.Serve(ln2)
-				station.killed = true
-				warm := station.cur.Warm()
-				clock := station.cur.Now()
-				station.mu.Unlock()
-				fmt.Fprintf(w, "station killed at slot %d; warm=%v, resumed at boundary %d\n\n",
-					down.StartSlot, warm, clock)
-				continue
-			}
-			if cur.Conns() > 0 {
-				if err := cur.Tick(); err != nil {
-					driveDone <- err
-					return
-				}
-			} else {
-				time.Sleep(100 * time.Microsecond)
-			}
-		}
-	}()
-
-	tw := tabwriter.NewWriter(w, 2, 0, 2, ' ', 0)
-	fmt.Fprintln(tw, "client\tarrival\tkey\tfound\taccess\ttuning\tretries\treconnects\tenergy\tmatches simulator")
-	failures, reconnects := 0, 0
-	for i := 0; i < opt.clients; i++ {
-		o := <-done
-		if o.err != nil {
-			if errors.Is(o.err, fault.ErrRetryBudget) && errors.Is(o.wantErr, fault.ErrRetryBudget) {
-				fmt.Fprintf(tw, "%d\t%d\t%d\t-\t-\t-\t-\t-\t-\tbudget exhausted (as predicted)\n",
-					o.idx, o.arrival, o.key)
-				continue
-			}
-			close(stop)
-			return fmt.Errorf("client %d: %w", o.idx, o.err)
-		}
-		if o.wantErr != nil {
-			close(stop)
-			return fmt.Errorf("client %d: simulator predicted %v but the socket lookup succeeded", o.idx, o.wantErr)
-		}
-		match := o.m == o.want
-		if !match {
-			failures++
-		}
-		reconnects += o.m.Reconnects
-		fmt.Fprintf(tw, "%d\t%d\t%d\t%v\t%d\t%d\t%d\t%d\t%.2f\t%v\n",
-			o.idx, o.arrival, o.key, o.found, o.m.AccessTime, o.m.TuningTime, o.m.Retries, o.m.Reconnects, o.m.Energy, match)
-	}
-	close(stop)
-	if err := <-driveDone; err != nil {
-		return err
-	}
-	if err := tw.Flush(); err != nil {
-		return err
-	}
-	if failures > 0 {
-		return fmt.Errorf("%d of %d clients diverged from the restart simulator", failures, opt.clients)
-	}
-	fmt.Fprintf(w, "\n%d client reconnects; all %d live lookups matched the restart simulator exactly\n",
-		reconnects, opt.clients)
-	return nil
-}
-
 // parseOutages parses the -outage flag: comma-separated CH:START:END
 // windows of absolute slots.
 func parseOutages(s string) (fault.Outages, error) {
@@ -872,162 +672,24 @@ func parseOutages(s string) (fault.Outages, error) {
 	return out, out.Validate()
 }
 
-// runOutage serves the broadcast while channels suffer the scheduled
-// outages: the tower's watchdog detects each window, replans the catalog
-// onto the survivors (staged through the epoch registry and hot-swapped
-// at a cycle boundary), and replans back to full width on recovery.
-// Clients arm the failover protocol and every session is cross-checked
-// against the analytic outage twin — the timeline carrying the same
-// replans at the same detection slots — Failovers included.
-func runOutage(t *tree.Tree, prog *sim.Program, opt liveOpts, w io.Writer) error {
-	wdog := opt.watchdog
-	if wdog == 0 {
-		wdog = netcast.DefaultWatchdog
+// rebuildRotated re-optimizes the same catalog under rotated demand: each
+// key inherits its successor's weight, the shifting-popularity workload a
+// real tower re-plans for. Keys and channel count are unchanged, so the
+// epoch-2 tree is a legal hot-swap target.
+func rebuildRotated(t *tree.Tree, channels int) (*sim.Program, error) {
+	ids := t.DataIDs()
+	items := make([]alphatree.Item, len(ids))
+	for i, id := range ids {
+		key, _ := t.Key(id)
+		items[i] = alphatree.Item{Label: t.Label(id), Key: key, Weight: t.Weight(ids[(i+1)%len(ids)])}
 	}
-	deadAir := opt.deadAir
-	if deadAir == 0 {
-		deadAir = sim.DefaultDeadAir
-	}
-	budget := opt.retries
-	if budget <= 0 {
-		budget = sim.DefaultMaxRetries
-	}
-	L := prog.CycleLen()
-	maxEnd := 0
-	for _, o := range opt.outages {
-		if o.EndSlot > maxEnd {
-			maxEnd = o.EndSlot
-		}
-	}
-	// The tick budget covers every client exhausting its retry budget
-	// past the last window; detections are replayed over the same span so
-	// tower and twin see the identical schedule.
-	runSlots := maxEnd + (2*(opt.clients+2)+budget+8)*L
-	events := opt.outages.Detections(opt.k, wdog, runSlots)
-	progs, err := experiment.ReplanPrograms(prog, events, opt.k)
+	next, err := alphatree.HuTucker(items)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	tl, replans, err := experiment.ReplanTimeline(prog, events, progs)
+	sol, err := core.Solve(next, core.Config{Channels: channels})
 	if err != nil {
-		return err
+		return nil, err
 	}
-
-	model := fault.Model{Seed: opt.seed, Drop: opt.drop, Corrupt: opt.corrupt, Stall: opt.stall}
-	env := sim.FaultConfig{Model: model, Outages: opt.outages, MaxRetries: opt.retries, DeadAir: deadAir}
-	reg, err := epoch.NewRegistry(prog)
-	if err != nil {
-		return err
-	}
-	idx := 0
-	server, err := netcast.NewAdaptiveServer(reg, netcast.ServerOptions{
-		Faults:   model,
-		Outages:  opt.outages,
-		Watchdog: wdog,
-		StallFor: time.Millisecond,
-		Obs:      opt.obs,
-		OnLiveChange: func(live []int, slot int) {
-			if idx < len(progs) {
-				reg.Stage(progs[idx])
-				idx++
-			}
-		},
-	})
-	if err != nil {
-		return err
-	}
-	defer server.Close()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	server.Serve(ln)
-	fmt.Fprintf(w, "broadcasting %d nodes over %d channels at %s (cycle %d slots)\n",
-		t.NumNodes(), opt.k, ln.Addr(), L)
-	fmt.Fprintf(w, "outages: %v; watchdog %d, dead air %d, %d replans will air\n",
-		opt.outages, wdog, deadAir, replans)
-	if model.Enabled() {
-		fmt.Fprintf(w, "lossy medium: drop %.2f, corrupt %.2f, stall %.2f (seed %d)\n",
-			opt.drop, opt.corrupt, opt.stall, opt.seed)
-	}
-	fmt.Fprintln(w)
-
-	power := sim.Power{Active: 1, Doze: 0.05}
-	rng := stats.NewRNG(opt.seed)
-	dataIDs := t.DataIDs()
-
-	type outcome struct {
-		idx     int
-		arrival int
-		key     int64
-		found   bool
-		m       sim.Metrics
-		want    sim.Metrics
-		err     error
-		wantErr error
-	}
-	done := make(chan outcome, opt.clients)
-	for i := 0; i < opt.clients; i++ {
-		key, _ := t.Key(dataIDs[rng.Intn(len(dataIDs))])
-		// Arrivals spread across the outage windows so sessions hit dead
-		// air before, during, and after the replans.
-		arrival := rng.Intn(maxEnd + 2*L)
-		want, _, wantErr := tl.QuerySwitch(arrival, key, power, env)
-		if wantErr != nil && !errors.Is(wantErr, fault.ErrRetryBudget) {
-			return wantErr
-		}
-		go func(idx, arrival int, key int64, want sim.Metrics, wantErr error) {
-			c, err := netcast.Dial(ln.Addr().String())
-			if err != nil {
-				done <- outcome{idx: idx, err: err}
-				return
-			}
-			defer c.Close()
-			c.MaxRetries = opt.retries
-			c.DeadAir = deadAir
-			c.Channels = opt.k
-			c.Instrument(opt.obs)
-			found, _, m, err := c.Lookup(arrival, key, power)
-			done <- outcome{idx, arrival, key, found, m, want, err, wantErr}
-		}(i, arrival, key, want, wantErr)
-	}
-
-	go func() {
-		server.AwaitConns(opt.clients)
-		server.Run(runSlots)
-	}()
-
-	tw := tabwriter.NewWriter(w, 2, 0, 2, ' ', 0)
-	fmt.Fprintln(tw, "client\tarrival\tkey\tfound\taccess\ttuning\tretries\tfailovers\tenergy\tmatches simulator")
-	failures, failovers := 0, 0
-	for i := 0; i < opt.clients; i++ {
-		o := <-done
-		if o.err != nil {
-			if errors.Is(o.err, fault.ErrRetryBudget) && errors.Is(o.wantErr, fault.ErrRetryBudget) {
-				fmt.Fprintf(tw, "%d\t%d\t%d\t-\t-\t-\t-\t-\t-\tbudget exhausted (as predicted)\n",
-					o.idx, o.arrival, o.key)
-				continue
-			}
-			return fmt.Errorf("client %d: %w", o.idx, o.err)
-		}
-		if o.wantErr != nil {
-			return fmt.Errorf("client %d: simulator predicted %v but the socket lookup succeeded", o.idx, o.wantErr)
-		}
-		match := o.m == o.want
-		if !match {
-			failures++
-		}
-		failovers += o.m.Failovers
-		fmt.Fprintf(tw, "%d\t%d\t%d\t%v\t%d\t%d\t%d\t%d\t%.2f\t%v\n",
-			o.idx, o.arrival, o.key, o.found, o.m.AccessTime, o.m.TuningTime, o.m.Retries, o.m.Failovers, o.m.Energy, match)
-	}
-	if err := tw.Flush(); err != nil {
-		return err
-	}
-	if failures > 0 {
-		return fmt.Errorf("%d of %d clients diverged from the outage simulator", failures, opt.clients)
-	}
-	fmt.Fprintf(w, "\nswaps landed: %d; channels live: %v; %d channel failovers; all %d live lookups matched the outage simulator exactly\n",
-		server.Swaps(), server.ChannelsLive(), failovers, opt.clients)
-	return nil
+	return sim.Compile(sol.Alloc, sim.Options{FillWithRootCopies: true})
 }

@@ -216,3 +216,44 @@ func TestLiveBudgetExhaustionAgrees(t *testing.T) {
 		t.Fatalf("missing agreement line:\n%s", sb.String())
 	}
 }
+
+func TestLiveFlagErrors(t *testing.T) {
+	path := catalogFile(t, 4)
+	for name, opt := range map[string]liveOpts{
+		"negative clients":  {k: 1, clients: -1, seed: 1},
+		"zero downtime":     {k: 1, clients: 1, seed: 1, kill: 12, restartAfter: 0},
+		"negative downtime": {k: 1, clients: 1, seed: 1, kill: 12, restartAfter: -3},
+	} {
+		var sb strings.Builder
+		if err := run(path, opt, &sb); err == nil {
+			t.Errorf("%s: want an error", name)
+		}
+		// Bad flags are rejected before the tower listens or says a word.
+		if sb.Len() > 0 {
+			t.Errorf("%s: printed before rejecting:\n%s", name, sb.String())
+		}
+	}
+}
+
+// TestLiveOutputDeterministic runs the crash demo twice: with clients
+// reconnecting at different wall-clock moments, everything but the
+// loopback address must still come out byte for byte the same.
+func TestLiveOutputDeterministic(t *testing.T) {
+	path := catalogFile(t, 10)
+	opt := liveOpts{k: 2, clients: 6, seed: 2, kill: 12, restartAfter: 5, drop: 0.1, retries: 64}
+	var outs [2]string
+	for i := range outs {
+		var sb strings.Builder
+		if err := run(path, opt, &sb); err != nil {
+			t.Fatalf("%v\noutput:\n%s", err, sb.String())
+		}
+		first, rest, _ := strings.Cut(sb.String(), "\n")
+		if !strings.HasPrefix(first, "broadcasting ") {
+			t.Fatalf("first line is not the address line:\n%s", sb.String())
+		}
+		outs[i] = rest
+	}
+	if outs[0] != outs[1] {
+		t.Fatalf("two runs differ past the address line:\n%s\n---\n%s", outs[0], outs[1])
+	}
+}

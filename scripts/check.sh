@@ -12,8 +12,9 @@
 #   test        go test ./...                  (tier-1: the full unit/property suite)
 #   shuffle     go test -shuffle=on ./...      (no order-dependent tests)
 #   race        go test -race ./...            (parallel-harness and pool safety)
-#   sockets     the TCP loopback tests, -count=20 (a dial/accept race that
-#               loses once in a few runs shows up as a failure here)
+#   sockets     the TCP loopback tests, -count=20, and the bcast-live
+#               crash demos, -count=50 (a dial/accept or reconnect race
+#               that loses once in a few runs shows up as a failure here)
 #   soak        outage + crash-restart soaks under -race (50 kill/revive
 #               cycles each: channel outages, then station SIGKILL/warm
 #               restart; leak-free, sim-twin byte-identical)
@@ -83,6 +84,7 @@ go test -race ./...
 
 echo "== sockets =="
 go test -count=20 -run 'TestTCPLoopback|TestTickSurvivesAbruptCloseTCP|TestEvictedUnderConcurrentAttachAndClose' ./internal/netcast
+go test -count=50 -run TestLiveRestart ./cmd/bcast-live
 
 echo "== soak =="
 go test -race -run 'TestOutageSoak|TestCrashRestartSoak' -count=1 ./internal/netcast
