@@ -31,6 +31,7 @@ bench:
 	$(GO) test -run xxx -bench . -benchmem -benchtime 50x .
 	$(GO) test -run xxx -bench Evaluate -benchmem ./internal/sim
 	$(GO) test -run xxx -bench HuTucker -benchmem ./internal/alphatree
+	$(GO) test -run xxx -bench 'AllocateSorted|Polish|Levels' -benchmem ./internal/heuristic ./internal/alloc
 	$(GO) test -run xxx -bench Tick -benchmem ./internal/netcast
 
 check:

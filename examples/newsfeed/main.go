@@ -98,16 +98,18 @@ func main() {
 // head renders the first n slots of every channel.
 func head(s *broadcast.Schedule, n int) string {
 	t := s.Alloc.Tree()
+	levels := s.Alloc.Levels()
 	out := ""
 	for ch := 1; ch <= s.Alloc.Channels(); ch++ {
 		out += fmt.Sprintf("C%d:", ch)
-		for slot := 1; slot <= n && slot <= s.Alloc.NumSlots(); slot++ {
-			id := s.Alloc.At(ch, slot)
-			if id < 0 {
-				out += " -"
-			} else {
-				out += " " + t.Label(id)
+		for slot := 1; slot <= n && slot <= len(levels); slot++ {
+			label := "-"
+			for _, id := range levels[slot-1] {
+				if s.Alloc.Channel(id) == ch {
+					label = t.Label(id)
+				}
 			}
+			out += " " + label
 		}
 		out += " ...\n"
 	}

@@ -46,7 +46,9 @@ func (a *Allocation) Slot(id tree.ID) int { return a.pos[id].Slot }
 // Channel returns the 1-based channel of node id.
 func (a *Allocation) Channel(id tree.ID) int { return a.pos[id].Channel }
 
-// At returns the node broadcast at the given position, or tree.None.
+// At returns the node broadcast at the given position, or tree.None. It
+// scans every node, O(N) per call; walk Levels or Pos to read the whole
+// grid.
 func (a *Allocation) At(channel, slot int) tree.ID {
 	for id := range a.pos {
 		if a.pos[id].Channel == channel && a.pos[id].Slot == slot {
@@ -83,12 +85,13 @@ func (a *Allocation) WeightedWaitSum() float64 {
 // Validate checks the feasibility conditions of Section 2.2: every node is
 // placed exactly once at an in-range position, no two nodes share a
 // position, and every child is broadcast at a strictly later slot than its
-// parent.
+// parent. It marks positions on a flat slots·k grid, O(N + slots·k).
 func (a *Allocation) Validate() error {
 	if a.k < 1 {
 		return fmt.Errorf("alloc: %d channels", a.k)
 	}
-	occupied := make(map[Position]tree.ID, len(a.pos))
+	// occupied holds 1 + the ID at each position, 0 when free.
+	occupied := make([]tree.ID, a.numSlots*a.k)
 	for id := range a.pos {
 		p := a.pos[id]
 		if p.Channel < 1 || p.Channel > a.k {
@@ -99,11 +102,12 @@ func (a *Allocation) Validate() error {
 			return fmt.Errorf("alloc: node %s at slot %d of %d",
 				a.t.Label(tree.ID(id)), p.Slot, a.numSlots)
 		}
-		if prev, dup := occupied[p]; dup {
+		cell := &occupied[(p.Slot-1)*a.k+p.Channel-1]
+		if *cell != 0 {
 			return fmt.Errorf("alloc: nodes %s and %s share channel %d slot %d",
-				a.t.Label(prev), a.t.Label(tree.ID(id)), p.Channel, p.Slot)
+				a.t.Label(*cell-1), a.t.Label(tree.ID(id)), p.Channel, p.Slot)
 		}
-		occupied[p] = tree.ID(id)
+		*cell = tree.ID(id) + 1
 	}
 	for id := range a.pos {
 		parent := a.t.Parent(tree.ID(id))
@@ -120,14 +124,30 @@ func (a *Allocation) Validate() error {
 }
 
 // Levels returns the allocation as compound levels: Levels()[s-1] holds the
-// IDs broadcast at slot s, ordered by channel.
+// IDs broadcast at slot s, ordered by channel, and is nil for an empty
+// slot. It buckets the nodes on a slots·k grid in O(N + slots·k). Each
+// level is capped at its own length, so appending to one never writes
+// into the next.
 func (a *Allocation) Levels() [][]tree.ID {
+	grid := make([]tree.ID, a.numSlots*a.k)
+	for i := range grid {
+		grid[i] = tree.None
+	}
+	for id, p := range a.pos {
+		grid[(p.Slot-1)*a.k+p.Channel-1] = tree.ID(id)
+	}
 	out := make([][]tree.ID, a.numSlots)
-	for slot := 1; slot <= a.numSlots; slot++ {
-		for ch := 1; ch <= a.k; ch++ {
-			if id := a.At(ch, slot); id != tree.None {
-				out[slot-1] = append(out[slot-1], id)
+	n := 0
+	for s := range out {
+		start := n
+		for _, id := range grid[s*a.k : (s+1)*a.k] {
+			if id != tree.None {
+				grid[n] = id
+				n++
 			}
+		}
+		if n > start {
+			out[s] = grid[start:n:n]
 		}
 	}
 	return out
@@ -203,17 +223,18 @@ func FromLevels(t *tree.Tree, k int, levels [][]tree.ID) (*Allocation, error) {
 	a := &Allocation{t: t, k: k, numSlots: len(levels)}
 	a.pos = make([]Position, t.NumNodes())
 	placed := make([]bool, t.NumNodes())
+	free := make([]bool, k+1)
+	pending := make([]tree.ID, 0, k)
 
 	for s, level := range levels {
 		slot := s + 1
 		if len(level) > k {
 			return nil, fmt.Errorf("alloc: slot %d has %d nodes, only %d channels", slot, len(level), k)
 		}
-		free := make([]bool, k+1)
 		for ch := 1; ch <= k; ch++ {
 			free[ch] = true
 		}
-		pending := make([]tree.ID, 0, len(level))
+		pending = pending[:0]
 		for _, id := range level {
 			if id < 0 || int(id) >= t.NumNodes() {
 				return nil, fmt.Errorf("alloc: slot %d references unknown node %d", slot, id)

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -418,5 +419,92 @@ func BenchmarkDataWait(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		_ = a.DataWait()
+	}
+}
+
+// TestValidateNamesFirstOffender pins the exact error of each feasibility
+// failure, including which nodes a shared position names when three
+// nodes collide: the scan goes by node ID, so the first two IDs on the
+// cell are reported.
+func TestValidateNamesFirstOffender(t *testing.T) {
+	tr := tree.Fig1()
+	seq := ids(t, tr, "1", "2", "A", "B", "3", "E", "4", "C", "D")
+	base := make([]Position, tr.NumNodes())
+	for i, id := range seq {
+		base[id] = Position{Channel: 1, Slot: i + 1}
+	}
+	for _, tc := range []struct {
+		name string
+		edit func(pos []Position)
+		want string
+	}{
+		{"channel out of range", func(pos []Position) {
+			pos[tr.FindLabel("B")].Channel = 3
+			pos[tr.FindLabel("C")].Channel = 0
+		}, "alloc: node B on channel 3 of 2"},
+		{"slot below 1", func(pos []Position) {
+			pos[tr.FindLabel("E")].Slot = 0
+		}, "alloc: node E at slot 0 of 9"},
+		{"shared position", func(pos []Position) {
+			for _, l := range []string{"D", "C", "4"} {
+				pos[tr.FindLabel(l)] = Position{Channel: 2, Slot: 7}
+			}
+		}, "alloc: nodes 4 and C share channel 2 slot 7"},
+		{"child before parent", func(pos []Position) {
+			pos[tr.FindLabel("A")], pos[tr.FindLabel("2")] = pos[tr.FindLabel("2")], pos[tr.FindLabel("A")]
+		}, "alloc: child A (slot 2) not after parent 2 (slot 3)"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			pos := append([]Position(nil), base...)
+			tc.edit(pos)
+			_, err := FromPositions(tr, 2, pos)
+			if err == nil || err.Error() != tc.want { //nolint:bcast-errsentinel // which nodes the message names is the contract under test; these errors have no sentinel
+				t.Fatalf("err = %v, want %s", err, tc.want)
+			}
+		})
+	}
+}
+
+// TestLevelsMatchesAtScan: the bucketed Levels equals one At lookup per
+// (slot, channel), empty slots included as nil.
+func TestLevelsMatchesAtScan(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := stats.NewRNG(seed)
+		tr, err := workload.Random(workload.RandomConfig{NumData: 1 + rng.Intn(30)}, rng)
+		if err != nil {
+			return false
+		}
+		// Spread the preorder over k channels with random empty slots.
+		k := 1 + rng.Intn(4)
+		pos := make([]Position, tr.NumNodes())
+		slot, ch := 1, 1
+		for _, id := range tr.Preorder() {
+			if ch > k || rng.Intn(4) == 0 {
+				slot += 1 + rng.Intn(2)
+				ch = 1
+			}
+			pos[id] = Position{Channel: ch, Slot: slot}
+			ch++
+			if tr.IsIndex(id) {
+				slot++
+				ch = 1
+			}
+		}
+		a, err := FromPositions(tr, k, pos)
+		if err != nil {
+			return false
+		}
+		want := make([][]tree.ID, a.NumSlots())
+		for s := 1; s <= a.NumSlots(); s++ {
+			for c := 1; c <= k; c++ {
+				if id := a.At(c, s); id != tree.None {
+					want[s-1] = append(want[s-1], id)
+				}
+			}
+		}
+		return reflect.DeepEqual(a.Levels(), want)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
 	}
 }

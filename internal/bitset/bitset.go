@@ -252,6 +252,26 @@ func (s Set) Values() []int {
 	return out
 }
 
+// Next returns the smallest element >= v, or -1 if there is none.
+func (s Set) Next(v int) int {
+	if v < 0 {
+		v = 0
+	}
+	w := v / wordBits
+	if w >= len(s.words) {
+		return -1
+	}
+	if word := s.words[w] >> uint(v%wordBits); word != 0 {
+		return v + bits.TrailingZeros64(word)
+	}
+	for w++; w < len(s.words); w++ {
+		if s.words[w] != 0 {
+			return w*wordBits + bits.TrailingZeros64(s.words[w])
+		}
+	}
+	return -1
+}
+
 // ForEach calls fn for each element in ascending order.
 func (s Set) ForEach(fn func(v int)) {
 	for i, w := range s.words {

@@ -2,6 +2,7 @@ package bitset
 
 import (
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -325,5 +326,28 @@ func TestHashEqualSetsHashAlike(t *testing.T) {
 	}
 	if a.Hash(1) == a.Hash(2) {
 		t.Fatal("seed ignored by Hash")
+	}
+}
+
+// TestNext walks a set with Next and must visit exactly Values, from any
+// start, across word boundaries and past the last word.
+func TestNext(t *testing.T) {
+	s := FromSlice([]int{0, 5, 63, 64, 130, 191})
+	var got []int
+	for v := s.Next(0); v >= 0; v = s.Next(v + 1) {
+		got = append(got, v)
+	}
+	if want := s.Values(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Next walk = %v, want %v", got, want)
+	}
+	for _, tc := range []struct{ from, want int }{
+		{-3, 0}, {1, 5}, {6, 63}, {65, 130}, {131, 191}, {192, -1}, {1000, -1},
+	} {
+		if got := s.Next(tc.from); got != tc.want {
+			t.Errorf("Next(%d) = %d, want %d", tc.from, got, tc.want)
+		}
+	}
+	if got := (Set{}).Next(0); got != -1 {
+		t.Errorf("empty Next(0) = %d, want -1", got)
 	}
 }

@@ -68,6 +68,13 @@ type Tree struct {
 	depth       int
 	keyed       bool
 	preorderIDs []ID
+
+	// The parents and the child lists again, packed for walks in non-ID
+	// order: node i's children are kids[firstKid[i]:firstKid[i+1]], the
+	// same array nodes[i].children slices.
+	parents  []ID
+	kids     []ID
+	firstKid []int32
 }
 
 // NumNodes returns the total number of nodes.
@@ -131,11 +138,15 @@ func (t *Tree) KeyRange(id ID) (lo, hi int64, ok bool) {
 }
 
 // Parent returns the node's parent, or None for the root.
-func (t *Tree) Parent(id ID) ID { t.check(id); return t.nodes[id].parent }
+func (t *Tree) Parent(id ID) ID { t.check(id); return t.parents[id] }
 
 // Children returns the node's children in left-to-right order.
 // The returned slice must not be modified.
-func (t *Tree) Children(id ID) []ID { t.check(id); return t.nodes[id].children }
+func (t *Tree) Children(id ID) []ID {
+	t.check(id)
+	lo, hi := t.firstKid[id], t.firstKid[id+1]
+	return t.kids[lo:hi:hi]
+}
 
 // Level returns the node's level; the root is level 1.
 func (t *Tree) Level(id ID) int { t.check(id); return t.nodes[id].level }
@@ -460,6 +471,20 @@ func (b *Builder) Build() (*Tree, error) {
 
 	t := &Tree{nodes: b.nodes, root: b.root}
 	keyed := true
+
+	// Planners walk trees in orders far from ID order; packed arrays keep
+	// those walks in cache.
+	t.parents = make([]ID, len(t.nodes))
+	t.firstKid = make([]int32, len(t.nodes)+1)
+	t.kids = make([]ID, 0, len(t.nodes))
+	for id := range t.nodes {
+		n := &t.nodes[id]
+		t.parents[id] = n.parent
+		t.firstKid[id] = int32(len(t.kids))
+		t.kids = append(t.kids, n.children...)
+		n.children = t.kids[t.firstKid[id]:len(t.kids):len(t.kids)]
+	}
+	t.firstKid[len(t.nodes)] = int32(len(t.kids))
 
 	// Iterative preorder walk computing levels, ranks and aggregates.
 	type frame struct {
