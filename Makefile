@@ -1,8 +1,8 @@
 # Tier-1+ quality gates. `make check` is what a change must pass before
 # merge: build, vet, bcast-vet (the repo's own invariant analyzers),
 # staticcheck/govulncheck when installed, the full test suite, the race
-# detector, a short burst on every fuzz target, and a short perf run
-# that refreshes the benchmark JSON.
+# detector, a short burst on every fuzz target, and one run of every
+# benchmark.
 
 GO ?= go
 FUZZTIME ?= 5s
@@ -29,7 +29,8 @@ fuzz:
 
 bench:
 	$(GO) test -run xxx -bench . -benchmem -benchtime 50x .
-	$(GO) test -run xxx -bench Evaluate -benchmem ./internal/sim
+	$(GO) test -run xxx -bench 'Evaluate|Compile' -benchmem ./internal/sim
+	$(GO) test -run xxx -bench Stage -benchmem ./internal/epoch
 	$(GO) test -run xxx -bench HuTucker -benchmem ./internal/alphatree
 	$(GO) test -run xxx -bench 'AllocateSorted|Polish|Levels' -benchmem ./internal/heuristic ./internal/alloc
 	$(GO) test -run xxx -bench Tick -benchmem ./internal/netcast

@@ -2,6 +2,7 @@ package broadcast_test
 
 import (
 	"math"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -386,6 +387,43 @@ func TestMeasurePerItem(t *testing.T) {
 	}
 	if math.Abs(waitSum/wSum-agg.DataWait) > 1e-9 {
 		t.Fatalf("per-item aggregate %g != Measure %g", waitSum/wSum, agg.DataWait)
+	}
+}
+
+// TestMeasureSurvivorSchedule: a schedule planned onto survivor channels
+// {2, 3} of a 3-channel tower airs its root on channel 2, and Measure and
+// MeasurePerItem probe there — matching the same plan at width 2.
+func TestMeasureSurvivorSchedule(t *testing.T) {
+	items := catalog(50, 10, 30, 5, 25, 40, 8, 2)
+	tr, err := broadcast.NewCatalogTree(items, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, repl := range []bool{false, true} {
+		narrow, err := broadcast.Optimize(tr, broadcast.Options{Channels: 2, ReplicateRoot: repl})
+		if err != nil {
+			t.Fatal(err)
+		}
+		survivor, err := broadcast.Optimize(tr, broadcast.Options{
+			Channels: 3, LiveChannels: []int{2, 3}, ReplicateRoot: repl,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := narrow.Measure(pw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := survivor.Measure(pw); err != nil || got != want {
+			t.Fatalf("replicate %v: survivor Measure = %+v, %v; width-2 plan %+v", repl, got, err, want)
+		}
+		wantItems, err := narrow.MeasurePerItem(pw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := survivor.MeasurePerItem(pw); err != nil || !slices.Equal(got, wantItems) {
+			t.Fatalf("replicate %v: survivor MeasurePerItem = %+v, %v; width-2 plan %+v", repl, got, err, wantItems)
+		}
 	}
 }
 

@@ -1,15 +1,13 @@
 // Command bcast-bench regenerates the paper's evaluation — Table 1,
 // Fig. 14, the Fig. 2 worked example — and the ablation experiments
 // catalogued in DESIGN.md (channel sweep, pruning effort, heuristic
-// quality, simulator comparison), plus a perf suite over the search
-// engines and the experiment harness.
+// quality, simulator comparison).
 //
 // Examples:
 //
 //	bcast-bench -exp table1
 //	bcast-bench -exp fig14 -trials 50 -csv
 //	bcast-bench -exp all -workers 4
-//	bcast-bench -exp perf -json BENCH_pr1.json
 package main
 
 import (
@@ -17,7 +15,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 	"strings"
 
 	"repro/internal/experiment"
@@ -33,20 +30,16 @@ type options struct {
 	// workers fans trial loops across goroutines (0 = GOMAXPROCS); output
 	// is identical for every value.
 	workers int
-	// jsonPath, when non-empty, additionally writes the perf report as
-	// machine-readable JSON to this file.
-	jsonPath string
 }
 
 func main() {
 	var opt options
-	flag.StringVar(&opt.exp, "exp", "all", "experiment: table1 | fig14 | fig14multi | fig2 | channels | pruning | heuristics | sim | treeshape | replication | largescale | loss | adapt | outage | batch | restart | perf | all")
+	flag.StringVar(&opt.exp, "exp", "all", "experiment: "+experimentNames(" | "))
 	flag.IntVar(&opt.trials, "trials", 0, "trial count override (0 = experiment default)")
 	flag.Int64Var(&opt.seed, "seed", 1, "random seed")
 	flag.IntVar(&opt.maxM, "max-m", 5, "largest fanout for table1 (6 takes minutes)")
 	flag.BoolVar(&opt.csv, "csv", false, "emit fig14 as CSV instead of a table")
 	flag.IntVar(&opt.workers, "workers", 0, "worker goroutines for trial loops (0 = GOMAXPROCS)")
-	flag.StringVar(&opt.jsonPath, "json", "", "write the perf report as JSON to this file (perf experiment)")
 	flag.Parse()
 	if err := run(opt, os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "bcast-bench:", err)
@@ -54,209 +47,194 @@ func main() {
 	}
 }
 
-func run(opt options, w io.Writer) error {
-	runners := map[string]func() error{
-		"table1": func() error {
-			ms := []int{}
-			for m := 2; m <= opt.maxM; m++ {
-				ms = append(ms, m)
-			}
-			fmt.Fprintln(w, "== Table 1: pruning effects (full m-ary tree, depth 3) ==")
-			rows, err := experiment.Table1(experiment.Table1Config{
-				Ms: ms, Trials: opt.trials, Seed: opt.seed, Workers: opt.workers,
-			})
-			if err != nil {
-				return err
-			}
-			return experiment.RenderTable1(w, rows)
-		},
-		"fig14": func() error {
-			fmt.Fprintln(w, "== Fig. 14: Index Tree Sorting vs Optimal (m=4, µ=100) ==")
-			points, err := experiment.Fig14(experiment.Fig14Config{
-				Trials: opt.trials, Seed: opt.seed, Workers: opt.workers,
-			})
-			if err != nil {
-				return err
-			}
-			if opt.csv {
-				return experiment.WriteCSVFig14(w, points)
-			}
-			return experiment.RenderFig14(w, points)
-		},
-		"fig14multi": func() error {
-			fmt.Fprintln(w, "== E2b: Fig. 14 extended to multiple channels (m=3) ==")
-			points, err := experiment.Fig14Multi(experiment.Fig14MultiConfig{
-				Trials: opt.trials, Seed: opt.seed, Workers: opt.workers,
-			})
-			if err != nil {
-				return err
-			}
-			return experiment.RenderFig14Multi(w, points)
-		},
-		"fig2": func() error {
-			fmt.Fprintln(w, "== Fig. 2: the worked example ==")
-			r, err := experiment.Fig2()
-			if err != nil {
-				return err
-			}
-			return experiment.RenderFig2(w, r)
-		},
-		"channels": func() error {
-			fmt.Fprintln(w, "== A1: optimal data wait vs channel count ==")
-			points, err := experiment.ChannelSweep(experiment.ChannelSweepConfig{Seed: opt.seed})
-			if err != nil {
-				return err
-			}
-			return experiment.RenderChannelSweep(w, points)
-		},
-		"pruning": func() error {
-			fmt.Fprintln(w, "== A2: search effort with pruning on/off ==")
-			points, err := experiment.PruningAblation(experiment.PruningAblationConfig{
-				Trials: opt.trials, Seed: opt.seed, Workers: opt.workers,
-			})
-			if err != nil {
-				return err
-			}
-			return experiment.RenderPruning(w, points)
-		},
-		"heuristics": func() error {
-			fmt.Fprintln(w, "== A3: heuristic cost / optimal cost ==")
-			points, err := experiment.HeuristicQuality(experiment.HeuristicQualityConfig{
-				Trials: opt.trials, Seed: opt.seed, Workers: opt.workers,
-			})
-			if err != nil {
-				return err
-			}
-			return experiment.RenderQuality(w, points)
-		},
-		"sim": func() error {
-			fmt.Fprintln(w, "== A4: client metrics vs SV96 and flat broadcast ==")
-			rows, err := experiment.SimComparison(experiment.SimComparisonConfig{Seed: opt.seed})
-			if err != nil {
-				return err
-			}
-			return experiment.RenderSim(w, rows)
-		},
-		"replication": func() error {
-			fmt.Fprintln(w, "== A6: root replication sweep ==")
-			rows, err := experiment.ReplicationSweep(experiment.ReplicationConfig{Seed: opt.seed})
-			if err != nil {
-				return err
-			}
-			return experiment.RenderReplication(w, rows)
-		},
-		"largescale": func() error {
-			fmt.Fprintln(w, "== A7: heuristics vs lower bound at scale ==")
-			rows, err := experiment.LargeScale(experiment.LargeScaleConfig{
-				Seed: opt.seed, Workers: opt.workers,
-			})
-			if err != nil {
-				return err
-			}
-			return experiment.RenderLargeScale(w, rows)
-		},
-		"treeshape": func() error {
-			fmt.Fprintln(w, "== A5: index-tree construction comparison ==")
-			rows, err := experiment.TreeShape(experiment.TreeShapeConfig{Seed: opt.seed})
-			if err != nil {
-				return err
-			}
-			return experiment.RenderTreeShape(w, rows)
-		},
-		"loss": func() error {
-			fmt.Fprintln(w, "== A8: client cost under a lossy channel ==")
-			rows, err := experiment.LossSweep(experiment.LossConfig{
-				Trials: opt.trials, Seed: opt.seed, Workers: opt.workers,
-			})
-			if err != nil {
-				return err
-			}
-			return experiment.RenderLoss(w, rows)
-		},
-		"adapt": func() error {
-			fmt.Fprintln(w, "== A9: demand drift vs rebuild cadence (epoch hot swap) ==")
-			rows, err := experiment.AdaptSweep(experiment.AdaptConfig{
-				Seed: opt.seed, Workers: opt.workers,
-			})
-			if err != nil {
-				return err
-			}
-			return experiment.RenderAdapt(w, rows)
-		},
-		"batch": func() error {
-			fmt.Fprintln(w, "== A11: batch retrieval planning vs sequential lookups ==")
-			points, err := experiment.BatchSweep(experiment.BatchConfig{
-				Trials: opt.trials, Seed: opt.seed, Workers: opt.workers,
-			})
-			if err != nil {
-				return err
-			}
-			return experiment.RenderBatch(w, points)
-		},
-		"outage": func() error {
-			fmt.Fprintln(w, "== A10: channel outages vs watchdog replanning ==")
-			rows, err := experiment.OutageSweep(experiment.OutageSweepConfig{
-				Trials: opt.trials, Seed: opt.seed, Workers: opt.workers,
-			})
-			if err != nil {
-				return err
-			}
-			return experiment.RenderOutage(w, rows)
-		},
-		"restart": func() error {
-			fmt.Fprintln(w, "== A12: station crashes vs reconnect backoff and checkpoint cadence ==")
-			rows, replay, err := experiment.RestartSweep(experiment.RestartSweepConfig{
-				Trials: opt.trials, Seed: opt.seed, Workers: opt.workers,
-			})
-			if err != nil {
-				return err
-			}
-			return experiment.RenderRestart(w, rows, replay)
-		},
-		"perf": func() error {
-			fmt.Fprintln(w, "== Perf: search engines and experiment harness ==")
-			report, err := experiment.Perf(experiment.PerfConfig{
-				Seed: opt.seed, Runs: opt.trials, Workers: opt.workers,
-			})
-			if err != nil {
-				return err
-			}
-			if err := experiment.RenderPerf(w, report); err != nil {
-				return err
-			}
-			if opt.jsonPath != "" {
-				f, err := os.Create(opt.jsonPath)
-				if err != nil {
-					return err
-				}
-				defer f.Close()
-				if err := experiment.WritePerfJSON(f, report); err != nil {
-					return err
-				}
-				fmt.Fprintf(w, "wrote %s\n", opt.jsonPath)
-			}
-			return nil
-		},
+// runners lists the experiments in the order -exp all runs them; the
+// -exp help text and the unknown-experiment error are drawn from it too.
+var runners = []struct {
+	name string
+	run  func(opt options, w io.Writer) error
+}{
+	{"fig2", func(opt options, w io.Writer) error {
+		fmt.Fprintln(w, "== Fig. 2: the worked example ==")
+		r, err := experiment.Fig2()
+		if err != nil {
+			return err
+		}
+		return experiment.RenderFig2(w, r)
+	}},
+	{"table1", func(opt options, w io.Writer) error {
+		ms := []int{}
+		for m := 2; m <= opt.maxM; m++ {
+			ms = append(ms, m)
+		}
+		fmt.Fprintln(w, "== Table 1: pruning effects (full m-ary tree, depth 3) ==")
+		rows, err := experiment.Table1(experiment.Table1Config{
+			Ms: ms, Trials: opt.trials, Seed: opt.seed, Workers: opt.workers,
+		})
+		if err != nil {
+			return err
+		}
+		return experiment.RenderTable1(w, rows)
+	}},
+	{"fig14", func(opt options, w io.Writer) error {
+		fmt.Fprintln(w, "== Fig. 14: Index Tree Sorting vs Optimal (m=4, µ=100) ==")
+		points, err := experiment.Fig14(experiment.Fig14Config{
+			Trials: opt.trials, Seed: opt.seed, Workers: opt.workers,
+		})
+		if err != nil {
+			return err
+		}
+		if opt.csv {
+			return experiment.WriteCSVFig14(w, points)
+		}
+		return experiment.RenderFig14(w, points)
+	}},
+	{"fig14multi", func(opt options, w io.Writer) error {
+		fmt.Fprintln(w, "== E2b: Fig. 14 extended to multiple channels (m=3) ==")
+		points, err := experiment.Fig14Multi(experiment.Fig14MultiConfig{
+			Trials: opt.trials, Seed: opt.seed, Workers: opt.workers,
+		})
+		if err != nil {
+			return err
+		}
+		return experiment.RenderFig14Multi(w, points)
+	}},
+	{"channels", func(opt options, w io.Writer) error {
+		fmt.Fprintln(w, "== A1: optimal data wait vs channel count ==")
+		points, err := experiment.ChannelSweep(experiment.ChannelSweepConfig{Seed: opt.seed})
+		if err != nil {
+			return err
+		}
+		return experiment.RenderChannelSweep(w, points)
+	}},
+	{"pruning", func(opt options, w io.Writer) error {
+		fmt.Fprintln(w, "== A2: search effort with pruning on/off ==")
+		points, err := experiment.PruningAblation(experiment.PruningAblationConfig{
+			Trials: opt.trials, Seed: opt.seed, Workers: opt.workers,
+		})
+		if err != nil {
+			return err
+		}
+		return experiment.RenderPruning(w, points)
+	}},
+	{"heuristics", func(opt options, w io.Writer) error {
+		fmt.Fprintln(w, "== A3: heuristic cost / optimal cost ==")
+		points, err := experiment.HeuristicQuality(experiment.HeuristicQualityConfig{
+			Trials: opt.trials, Seed: opt.seed, Workers: opt.workers,
+		})
+		if err != nil {
+			return err
+		}
+		return experiment.RenderQuality(w, points)
+	}},
+	{"sim", func(opt options, w io.Writer) error {
+		fmt.Fprintln(w, "== A4: client metrics vs SV96 and flat broadcast ==")
+		rows, err := experiment.SimComparison(experiment.SimComparisonConfig{Seed: opt.seed})
+		if err != nil {
+			return err
+		}
+		return experiment.RenderSim(w, rows)
+	}},
+	{"treeshape", func(opt options, w io.Writer) error {
+		fmt.Fprintln(w, "== A5: index-tree construction comparison ==")
+		rows, err := experiment.TreeShape(experiment.TreeShapeConfig{Seed: opt.seed})
+		if err != nil {
+			return err
+		}
+		return experiment.RenderTreeShape(w, rows)
+	}},
+	{"replication", func(opt options, w io.Writer) error {
+		fmt.Fprintln(w, "== A6: root replication sweep ==")
+		rows, err := experiment.ReplicationSweep(experiment.ReplicationConfig{Seed: opt.seed})
+		if err != nil {
+			return err
+		}
+		return experiment.RenderReplication(w, rows)
+	}},
+	{"largescale", func(opt options, w io.Writer) error {
+		fmt.Fprintln(w, "== A7: heuristics vs lower bound at scale ==")
+		rows, err := experiment.LargeScale(experiment.LargeScaleConfig{
+			Seed: opt.seed, Workers: opt.workers,
+		})
+		if err != nil {
+			return err
+		}
+		return experiment.RenderLargeScale(w, rows)
+	}},
+	{"loss", func(opt options, w io.Writer) error {
+		fmt.Fprintln(w, "== A8: client cost under a lossy channel ==")
+		rows, err := experiment.LossSweep(experiment.LossConfig{
+			Trials: opt.trials, Seed: opt.seed, Workers: opt.workers,
+		})
+		if err != nil {
+			return err
+		}
+		return experiment.RenderLoss(w, rows)
+	}},
+	{"adapt", func(opt options, w io.Writer) error {
+		fmt.Fprintln(w, "== A9: demand drift vs rebuild cadence (epoch hot swap) ==")
+		rows, err := experiment.AdaptSweep(experiment.AdaptConfig{
+			Seed: opt.seed, Workers: opt.workers,
+		})
+		if err != nil {
+			return err
+		}
+		return experiment.RenderAdapt(w, rows)
+	}},
+	{"outage", func(opt options, w io.Writer) error {
+		fmt.Fprintln(w, "== A10: channel outages vs watchdog replanning ==")
+		rows, err := experiment.OutageSweep(experiment.OutageSweepConfig{
+			Trials: opt.trials, Seed: opt.seed, Workers: opt.workers,
+		})
+		if err != nil {
+			return err
+		}
+		return experiment.RenderOutage(w, rows)
+	}},
+	{"batch", func(opt options, w io.Writer) error {
+		fmt.Fprintln(w, "== A11: batch retrieval planning vs sequential lookups ==")
+		points, err := experiment.BatchSweep(experiment.BatchConfig{
+			Trials: opt.trials, Seed: opt.seed, Workers: opt.workers,
+		})
+		if err != nil {
+			return err
+		}
+		return experiment.RenderBatch(w, points)
+	}},
+	{"restart", func(opt options, w io.Writer) error {
+		fmt.Fprintln(w, "== A12: station crashes vs reconnect backoff and checkpoint cadence ==")
+		rows, replay, err := experiment.RestartSweep(experiment.RestartSweepConfig{
+			Trials: opt.trials, Seed: opt.seed, Workers: opt.workers,
+		})
+		if err != nil {
+			return err
+		}
+		return experiment.RenderRestart(w, rows, replay)
+	}},
+}
+
+// experimentNames joins the runner names and "all" with sep.
+func experimentNames(sep string) string {
+	names := make([]string, 0, len(runners)+1)
+	for _, r := range runners {
+		names = append(names, r.name)
 	}
-	if opt.exp == "all" {
-		for _, name := range []string{"fig2", "table1", "fig14", "fig14multi", "channels", "pruning", "heuristics", "sim", "treeshape", "replication", "largescale", "loss", "adapt", "outage", "batch", "restart"} {
-			if err := runners[name](); err != nil {
-				return fmt.Errorf("%s: %w", name, err)
+	return strings.Join(append(names, "all"), sep)
+}
+
+func run(opt options, w io.Writer) error {
+	for _, r := range runners {
+		if opt.exp == "all" {
+			if err := r.run(opt, w); err != nil {
+				return fmt.Errorf("%s: %w", r.name, err)
 			}
 			fmt.Fprintln(w)
+		} else if r.name == opt.exp {
+			return r.run(opt, w)
 		}
+	}
+	if opt.exp == "all" {
 		return nil
 	}
-	runner, ok := runners[opt.exp]
-	if !ok {
-		names := make([]string, 0, len(runners)+1)
-		for name := range runners {
-			names = append(names, name)
-		}
-		names = append(names, "all")
-		sort.Strings(names)
-		return fmt.Errorf("unknown experiment %q; registered experiments: %s",
-			opt.exp, strings.Join(names, ", "))
-	}
-	return runner()
+	return fmt.Errorf("unknown experiment %q; registered experiments: %s",
+		opt.exp, experimentNames(", "))
 }

@@ -1,13 +1,8 @@
 package main
 
 import (
-	"encoding/json"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
-
-	"repro/internal/experiment"
 )
 
 func TestRunEachExperiment(t *testing.T) {
@@ -52,38 +47,6 @@ func TestRunFig14CSV(t *testing.T) {
 	}
 }
 
-func TestRunPerfWritesJSON(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "BENCH_test.json")
-	var sb strings.Builder
-	if err := run(options{exp: "perf", trials: 1, seed: 1, maxM: 3, jsonPath: path}, &sb); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	for _, want := range []string{"topo/pruned/k=2", "datatree/full", "harness/fig14/parallel", "dom-pruned"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("perf table missing %q:\n%s", want, out)
-		}
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var report experiment.PerfReport
-	if err := json.Unmarshal(raw, &report); err != nil {
-		t.Fatalf("perf JSON does not parse: %v", err)
-	}
-	if len(report.Cases) < 6 {
-		t.Fatalf("perf JSON has %d cases, want >= 6", len(report.Cases))
-	}
-	for _, c := range report.Cases {
-		if strings.HasPrefix(c.Name, "topo/") || strings.HasPrefix(c.Name, "datatree/") {
-			if c.Stats.Generated == 0 || c.Stats.Expanded == 0 {
-				t.Errorf("case %s reports zero search counters: %+v", c.Name, c.Stats)
-			}
-		}
-	}
-}
-
 func TestRunUnknownExperiment(t *testing.T) {
 	err := run(options{exp: "warp", trials: 1, seed: 1, maxM: 3}, &strings.Builder{})
 	if err == nil {
@@ -91,7 +54,7 @@ func TestRunUnknownExperiment(t *testing.T) {
 	}
 	// The error lists every registered experiment so a typo is
 	// self-correcting at the terminal.
-	for _, name := range []string{"table1", "fig14", "batch", "perf", "all"} {
+	for _, name := range []string{"table1", "fig14", "batch", "all"} {
 		if !strings.Contains(err.Error(), name) { //nolint:bcast-errsentinel // the listing text itself is the contract under test, not a sentinel
 			t.Errorf("unknown-experiment error does not list %q: %v", name, err)
 		}

@@ -349,13 +349,29 @@ func TestQuickEnumeratedPathsFeasible(t *testing.T) {
 	}
 }
 
-func BenchmarkSearchFig1(b *testing.B) {
-	tr := tree.Fig1()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := Search(tr, AllOptions()); err != nil {
-			b.Fatal(err)
-		}
+// BenchmarkSearch times the full data-tree search on the Fig. 1 tree and
+// on a seed-1 full 4-ary depth-3 tree, reporting the states each search
+// expands and generates.
+func BenchmarkSearch(b *testing.B) {
+	full, err := workload.FullMAry(4, 3, stats.Normal{Mu: 100, Sigma: 20}, stats.NewRNG(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, in := range []struct {
+		name string
+		tr   *tree.Tree
+	}{{"fig1", tree.Fig1()}, {"mary4x3", full}} {
+		b.Run(in.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var res *Result
+			for i := 0; i < b.N; i++ {
+				if res, err = Search(in.tr, AllOptions()); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(res.Stats.Expanded), "expanded/op")
+			b.ReportMetric(float64(res.Stats.Generated), "generated/op")
+		})
 	}
 }
 

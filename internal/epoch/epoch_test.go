@@ -9,9 +9,11 @@ import (
 
 	"repro/internal/alphatree"
 	"repro/internal/core"
+	"repro/internal/heuristic"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/wire"
+	"repro/internal/workload"
 )
 
 func prog(t *testing.T, n, k int, seed int64) *sim.Program {
@@ -265,5 +267,39 @@ func TestPlannerHonorsContext(t *testing.T) {
 	pl.Close() // must not hang
 	if _, ok := r.Pending(); ok {
 		t.Fatal("cancelled build staged a program")
+	}
+}
+
+// BenchmarkStage times staging the 3-channel sorting program of a
+// 1,000-key Zipf(0.8) Hu–Tucker catalog into a registry, which encodes
+// every bucket under the next epoch ID.
+func BenchmarkStage(b *testing.B) {
+	cat := workload.Catalog(1000, &stats.Zipf{Theta: 0.8}, stats.NewRNG(1))
+	items := make([]alphatree.Item, len(cat))
+	for i, it := range cat {
+		items[i] = alphatree.Item{Label: it.Label, Key: it.Key, Weight: it.Weight}
+	}
+	tr, err := alphatree.HuTucker(items)
+	if err != nil {
+		b.Fatal(err)
+	}
+	a, err := heuristic.AllocateSorted(tr, 3)
+	if err != nil {
+		b.Fatal(err)
+	}
+	p, err := sim.Compile(a, sim.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	reg, err := NewRegistry(p)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := reg.Stage(p); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -1,8 +1,8 @@
 // Package searchstats defines the per-search performance counters shared
 // by the best-first search engines (internal/topo, internal/datatree).
-// The counters are threaded through internal/core and printed by
-// cmd/bcast-bench, which also emits them as machine-readable BENCH_*.json
-// so successive PRs leave a perf trajectory behind.
+// The counters are threaded through internal/core, printed by
+// cmd/bcast-opt, and reported per search by the topo and datatree
+// benchmarks.
 package searchstats
 
 // Stats counts the work one best-first search performed. All fields are

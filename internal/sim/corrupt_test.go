@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"repro/internal/stats"
@@ -217,17 +218,46 @@ func TestEvaluateRootCopyMissingPointer(t *testing.T) {
 	}
 }
 
+// TestEvaluateDetectsRemappedRootChannel: a program remapped off channel
+// 1 airs only filler there, so the client must find the root on the
+// remapped root channel. Evaluate and EvaluatePerItem then agree with the
+// oracle and with the unremapped program, with and without root copies.
 func TestEvaluateDetectsRemappedRootChannel(t *testing.T) {
-	p := corruptedProgram(t)
-	q, err := p.Remap([]int{2, 3}, 3)
-	if err != nil {
-		t.Fatal(err)
+	for seed := int64(1); seed <= 20; seed++ {
+		for _, copies := range []bool{false, true} {
+			a := sparseAllocation(t, tree.Fig1(), 2, stats.NewRNG(seed))
+			p, err := Compile(a, Options{FillWithRootCopies: copies})
+			if err != nil {
+				t.Fatal(err)
+			}
+			q, err := p.Remap([]int{2, 3}, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if q.RootChannel() == 1 {
+				t.Fatal("remapped root channel is 1")
+			}
+			want, err := Evaluate(p, testPower)
+			if err != nil {
+				t.Fatal(err)
+			}
+			oracle, err := oracleEvaluate(q, testPower, FaultConfig{})
+			if err != nil || oracle != want {
+				t.Fatalf("seed %d copies %v: remapped oracle = %+v, %v; unremapped %+v", seed, copies, oracle, err, want)
+			}
+			if got, err := Evaluate(q, testPower); err != nil || got != want {
+				t.Fatalf("seed %d copies %v: remapped Evaluate = %+v, %v; unremapped %+v", seed, copies, got, err, want)
+			}
+			wantItems, err := EvaluatePerItem(p, testPower)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gotItems, err := EvaluatePerItem(q, testPower)
+			if err != nil || !slices.Equal(gotItems, wantItems) {
+				t.Fatalf("seed %d copies %v: remapped EvaluatePerItem = %+v, %v; unremapped %+v", seed, copies, gotItems, err, wantItems)
+			}
+		}
 	}
-	if q.RootChannel() == 1 {
-		t.Fatal("remapped root channel is 1")
-	}
-	// The client probes channel 1, which now airs only filler.
-	assertEvaluateFails(t, q, ErrMissingRoot)
 }
 
 // TestEvaluateReplicatedChildBucket: one root copy points at a second

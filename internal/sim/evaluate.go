@@ -15,7 +15,7 @@ func (fc FaultConfig) lossless() bool {
 // evaluator is Evaluate's factoring of a perfect-medium query on target d
 // arriving at phase a:
 //
-//   - the probe and sync depend only on a, and fix the channel-1 bucket
+//   - the probe and sync depend only on a, and fix the root-channel bucket
 //     the descent starts from (the root or a root copy);
 //   - the first hop depends only on that start bucket and the child that
 //     covers d, and lands on that child's bucket;
@@ -45,7 +45,7 @@ type phaseStart struct {
 	err         error
 }
 
-// startBucket is a channel-1 bucket some phase starts its descent from.
+// startBucket is a root-channel bucket some phase starts its descent from.
 type startBucket struct {
 	at int // 0-based cycle slot
 	b  Bucket

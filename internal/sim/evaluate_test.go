@@ -353,3 +353,19 @@ func BenchmarkEvaluateOracle(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkCompile times compiling the 3-channel sorting allocation of
+// the 1,000-key Zipf(0.8) Hu–Tucker tree into a program.
+func BenchmarkCompile(b *testing.B) {
+	a, err := heuristic.AllocateSorted(huTuckerTree(b, 1000, &stats.Zipf{Theta: 0.8}, 1), 3)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Compile(a, Options{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

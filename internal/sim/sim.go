@@ -5,7 +5,8 @@
 // between. It makes the paper's access-time/tuning-time story executable:
 //
 //   - probe wait: from arrival until the bucket containing the index root
-//     (every channel-1 bucket carries a pointer to the next cycle start);
+//     (every bucket carries a pointer to the next cycle start, and the
+//     client probes the root channel: 1 unless the program was remapped);
 //   - data wait: from the cycle start until the requested data bucket —
 //     whose weighted average over data nodes is exactly Formula 1;
 //   - tuning time: the number of buckets actually read, which with the
@@ -31,7 +32,7 @@ import (
 // these with %w so callers can classify a failure with errors.Is instead
 // of matching the position/label detail in the message text.
 var (
-	// ErrMissingRoot reports a cycle start whose channel-1 slot carries
+	// ErrMissingRoot reports a cycle start whose root-channel slot carries
 	// neither the index root nor a root copy.
 	ErrMissingRoot = errors.New("sim: cycle start does not hold the root")
 
@@ -385,9 +386,10 @@ func (p *Program) readAt(m *Metrics, fc FaultConfig, ch, slot int) (int, Bucket,
 	}
 }
 
-// run drives the client: probe channel 1, synchronize (or start from a
-// root copy), then follow pointers chosen by descend, which returns the
-// next child to chase or done=true when the current bucket is the answer.
+// run drives the client: probe the root channel, synchronize (or start
+// from a root copy), then follow pointers chosen by descend, which returns
+// the next child to chase or done=true when the current bucket is the
+// answer.
 func (p *Program) run(arrival int, fc FaultConfig, descend func(Bucket) (next tree.ID, done bool), pw Power) (Metrics, bool, error) {
 	var m Metrics
 	now, b, err := p.probe(&m, fc, arrival)
@@ -403,20 +405,21 @@ func (p *Program) run(arrival int, fc FaultConfig, descend func(Bucket) (next tr
 	return m, found, nil
 }
 
-// probe runs the client's arrival on channel 1: read the bucket on air,
-// and unless it is the root or a root copy, doze to the next cycle start
-// and read the root there. It returns the slot and bucket the descent
-// starts from and sets m.ProbeWait.
+// probe runs the client's arrival on the root channel: read the bucket on
+// air, and unless it is the root or a root copy, doze to the next cycle
+// start and read the root there. It returns the slot and bucket the
+// descent starts from and sets m.ProbeWait.
 func (p *Program) probe(m *Metrics, fc FaultConfig, arrival int) (int, Bucket, error) {
 	// The initial probe read; on a lossy channel it may take several
-	// cycles to hear any channel-1 bucket at all.
-	now, b, err := p.readAt(m, fc, 1, arrival)
+	// cycles to hear any root-channel bucket at all.
+	rc := p.RootChannel()
+	now, b, err := p.readAt(m, fc, rc, arrival)
 	if err != nil {
 		return 0, Bucket{}, err
 	}
 	if !(b.RootCopy || (b.Node != tree.None && b.Node == p.t.Root())) {
 		// Doze until the next cycle start, then read the root bucket.
-		if now, b, err = p.readAt(m, fc, 1, now+b.NextCycle); err != nil {
+		if now, b, err = p.readAt(m, fc, rc, now+b.NextCycle); err != nil {
 			return 0, Bucket{}, err
 		}
 		if !(b.RootCopy || b.Node == p.t.Root()) {

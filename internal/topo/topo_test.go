@@ -448,22 +448,42 @@ func BenchmarkExactFig1OneChannel(b *testing.B) {
 	}
 }
 
+// BenchmarkSearchPrunedVsUnpruned times the k=2 search on the Fig. 1 tree
+// and on a seed-1 random 9-data tree under every pruning rule, none, and
+// the provably exact subset Exact uses, reporting the states each search
+// expands and generates.
 func BenchmarkSearchPrunedVsUnpruned(b *testing.B) {
-	tr := tree.Fig1()
-	b.Run("pruned", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := Search(tr, Options{Channels: 2, Prune: AllPrunes(), TightBound: true}); err != nil {
-				b.Fatal(err)
-			}
+	random9, err := workload.Random(workload.RandomConfig{
+		NumData: 9,
+		Dist:    stats.Uniform{Lo: 1, Hi: 100},
+	}, stats.NewRNG(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, in := range []struct {
+		name string
+		tr   *tree.Tree
+	}{{"fig1", tree.Fig1()}, {"random9", random9}} {
+		for _, c := range []struct {
+			name  string
+			prune Prune
+		}{
+			{"pruned", AllPrunes()},
+			{"unpruned", NoPrunes()},
+			{"exact", Prune{Property1: true, DataRank: true}},
+		} {
+			b.Run(in.name+"/"+c.name, func(b *testing.B) {
+				var res *Result
+				for i := 0; i < b.N; i++ {
+					if res, err = Search(in.tr, Options{Channels: 2, Prune: c.prune, TightBound: true}); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(res.Stats.Expanded), "expanded/op")
+				b.ReportMetric(float64(res.Stats.Generated), "generated/op")
+			})
 		}
-	})
-	b.Run("unpruned", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := Search(tr, Options{Channels: 2, Prune: NoPrunes(), TightBound: true}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	}
 }
 
 // TestOptimaFig1: the example tree has exactly one 2-channel optimum (the

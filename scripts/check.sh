@@ -19,28 +19,14 @@
 #               cycles each: channel outages, then station SIGKILL/warm
 #               restart; leak-free, sim-twin byte-identical)
 #   fuzz        scripts/fuzz.sh                (every fuzz target, 5s each)
-#   perf        bcast-bench -exp perf          (short run; writes BENCH_pr$PR.json)
+#   perf        go test -run '^$' -bench . -benchtime 1x ./...
+#               (every benchmark once: a broken benchmark fails the gate)
 #
 # staticcheck and govulncheck are pinned in tools/go.mod and installed in
 # CI; offline dev boxes without the binaries get a warning, not a failure.
 #
-# Usage: scripts/check.sh [bench-json-path]
-#   PR=5 scripts/check.sh     # writes BENCH_pr5.json
-#
-# Without an explicit bench-json-path the PR env var is REQUIRED: the
-# bench artifact is a per-PR perf snapshot, and a silent default would
-# overwrite another PR's baseline.
+# Usage: scripts/check.sh
 set -eu
-
-if [ $# -ge 1 ]; then
-    out="$1"
-elif [ -n "${PR:-}" ]; then
-    out="BENCH_pr${PR}.json"
-else
-    echo "check.sh: set PR (e.g. PR=6 scripts/check.sh) or pass an explicit bench-json path;" >&2
-    echo "          refusing to guess which BENCH_pr*.json to overwrite" >&2
-    exit 2
-fi
 
 echo "== build =="
 go build ./...
@@ -93,6 +79,6 @@ echo "== fuzz =="
 sh scripts/fuzz.sh 5s
 
 echo "== perf =="
-go run ./cmd/bcast-bench -exp perf -trials 3 -json "$out"
+go test -run '^$' -bench . -benchtime 1x ./...
 
 echo "check: all gates passed"
