@@ -14,7 +14,8 @@ package alphatree
 import (
 	"fmt"
 	"math"
-	"sort"
+	"strconv"
+	"strings"
 
 	"repro/internal/pqueue"
 	"repro/internal/tree"
@@ -101,50 +102,44 @@ func WeightedPathLength(t *tree.Tree) float64 {
 	return sum
 }
 
-// Huffman builds the classic Huffman tree over the items. The resulting
-// tree minimizes WeightedPathLength but does not preserve key order, so
-// the result is unkeyed (a Huffman broadcast index cannot answer key
-// lookups by range descent — the flaw the paper points out in [CYW97]).
+// Huffman builds the classic Huffman tree over the items in O(n log n)
+// time. The resulting tree minimizes WeightedPathLength but does not
+// preserve key order, so the result is unkeyed (a Huffman broadcast index
+// cannot answer key lookups by range descent — the flaw the paper points
+// out in [CYW97]).
 func Huffman(items []Item) (*tree.Tree, error) {
 	if err := validate(items, false); err != nil {
 		return nil, err
 	}
+	// Merge the two least (weight, insertion order) nodes until one is
+	// left; merged nodes take the next insertion numbers.
 	type hn struct {
 		w float64
 		s *shape
-		n int // insertion order for deterministic ties
+		n int
 	}
-	nodes := make([]hn, len(items))
-	for i, it := range items {
-		nodes[i] = hn{w: it.Weight, s: &shape{leaf: i}, n: i}
-	}
-	next := len(items)
-	for len(nodes) > 1 {
-		// Select the two smallest (weight, order) nodes.
-		sort.SliceStable(nodes, func(i, j int) bool {
-			if nodes[i].w != nodes[j].w {
-				return nodes[i].w < nodes[j].w
-			}
-			return nodes[i].n < nodes[j].n
-		})
-		a, b := nodes[0], nodes[1]
-		merged := hn{
-			w: a.w + b.w,
-			s: &shape{leaf: -1, children: []*shape{a.s, b.s}},
-			n: next,
+	q := pqueue.New(func(a, b hn) bool {
+		if a.w != b.w {
+			return a.w < b.w
 		}
-		next++
-		nodes = append([]hn{merged}, nodes[2:]...)
+		return a.n < b.n
+	})
+	q.Reserve(len(items))
+	for i, it := range items {
+		q.Push(hn{w: it.Weight, s: &shape{leaf: i}, n: i})
 	}
-	return toTree(items, nodes[0].s, false)
+	for next := len(items); q.Len() > 1; next++ {
+		a, b := q.Pop(), q.Pop()
+		q.Push(hn{w: a.w + b.w, s: &shape{leaf: -1, children: []*shape{a.s, b.s}}, n: next})
+	}
+	return toTree(items, q.Pop().s, false)
 }
 
 // HuTucker builds the optimal alphabetic binary search tree with the
 // Hu–Tucker algorithm [HT71]: a combination phase over compatible pairs,
-// level assignment, and stack reconstruction. The combination phase costs
-// O(n log n) heap work plus the lengths of the segments it rescans, O(n²)
-// in the worst case. The result preserves key order, so it is keyed and
-// usable as a broadcast search index.
+// level assignment, and stack reconstruction, in O(n log n) time. The
+// result preserves key order, so it is keyed and usable as a broadcast
+// search index.
 func HuTucker(items []Item) (*tree.Tree, error) {
 	if err := validate(items, true); err != nil {
 		return nil, err
@@ -157,169 +152,89 @@ func HuTucker(items []Item) (*tree.Tree, error) {
 	// Phase 1: combination.
 	left, right := combine(items)
 
-	// Phase 2: leaf levels from the combination tree.
-	levels := make([]int, n)
-	var walk func(id int32, depth int)
-	walk = func(id int32, depth int) {
-		if int(id) < n {
-			levels[id] = depth
-			return
-		}
-		walk(left[int(id)-n], depth+1)
-		walk(right[int(id)-n], depth+1)
+	// Phase 2: leaf levels from the combination tree. Node n+k is merge
+	// k's result and the last merge is the root; a merge sits one level
+	// above the two nodes it joins.
+	depth := make([]int32, 2*n-1)
+	for k := n - 2; k >= 0; k-- {
+		depth[left[k]] = depth[n+k] + 1
+		depth[right[k]] = depth[n+k] + 1
 	}
-	walk(int32(2*n-2), 0)
-	return fromLevels(items, levels)
+	levels := depth[:n]
+
+	// Phase 3: reconstruction.
+	if err := checkLevels(levels); err != nil {
+		return nil, err
+	}
+	return emitLevels(items, levels)
 }
 
-// fromLevels is Hu–Tucker's phase 3: stack reconstruction of the
-// alphabetic tree whose leaves sit at the given levels. It fails when no
-// such tree exists, which rounding in the combination phase's float sums
-// can cause on weights a few ulps apart.
-func fromLevels(items []Item, levels []int) (*tree.Tree, error) {
-	type se struct {
-		s     *shape
-		level int
-	}
-	var stack []se
-	for i := range items {
-		stack = append(stack, se{&shape{leaf: i}, levels[i]})
-		for len(stack) >= 2 && stack[len(stack)-1].level == stack[len(stack)-2].level {
-			b, a := stack[len(stack)-1], stack[len(stack)-2]
-			stack = stack[:len(stack)-2]
-			stack = append(stack, se{
-				s:     &shape{leaf: -1, children: []*shape{a.s, b.s}},
-				level: a.level - 1,
-			})
+// checkLevels runs phase 3's stack rule on the levels alone: push each
+// leaf's level, and while the top two entries are equal replace them by
+// one entry a level up. The levels belong to an alphabetic binary tree
+// exactly when this ends with the root alone, at level 0. Rounding in the
+// combination phase's float sums can break that on weights a few ulps
+// apart.
+func checkLevels(levels []int32) error {
+	var stack []int32
+	for _, l := range levels {
+		stack = append(stack, l)
+		for len(stack) >= 2 && stack[len(stack)-1] == stack[len(stack)-2] {
+			stack = stack[:len(stack)-1]
+			stack[len(stack)-1]--
 		}
 	}
-	if len(stack) != 1 || stack[0].level != 0 {
-		return nil, fmt.Errorf("alphatree: Hu-Tucker reconstruction failed (stack %d, level %d)",
-			len(stack), stack[0].level)
+	if len(stack) != 1 || stack[0] != 0 {
+		return fmt.Errorf("alphatree: Hu-Tucker reconstruction failed (stack %d, level %d)",
+			len(stack), stack[0])
 	}
-	return toTree(items, stack[0].s, true)
+	return nil
 }
 
-// pairCand is the best compatible pair of the segment that starts at
-// slot start, cached until a merge bumps version[start].
-type pairCand struct {
-	sum     float64
-	i, j    int32 // slots, i before j
-	start   int32
-	version uint32
+// emitLevels builds the alphabetic binary tree whose leaves sit at the
+// given levels, which checkLevels accepted. That tree is unique, so it
+// goes straight into the builder in preorder: each leaf hangs from the
+// deepest index node still missing a child, under fresh index nodes down
+// to its level. IDs and the I1, I2, … labels come out in preorder, as
+// toTree assigns them.
+func emitLevels(items []Item, levels []int32) (*tree.Tree, error) {
+	labels := indexLabels(len(items) - 1)
+	b := tree.NewBuilder()
+	b.Grow(2*len(items) - 1)
+	// path[d] is the open index node at depth d, kids[d] its child count.
+	path := make([]tree.ID, 0, 32)
+	kids := make([]uint8, 0, 32)
+	add := func(id tree.ID) {
+		path, kids = append(path, id), append(kids, 0)
+	}
+	add(b.AddRoot(labels[0]))
+	next := 1
+	for i, it := range items {
+		for int32(len(path)) < levels[i] {
+			kids[len(kids)-1]++
+			add(b.AddIndex(path[len(path)-1], labels[next]))
+			next++
+		}
+		kids[len(kids)-1]++
+		b.AddKeyedData(path[len(path)-1], it.Label, it.Key, it.Weight)
+		for len(kids) > 0 && kids[len(kids)-1] == 2 {
+			path, kids = path[:len(path)-1], kids[:len(kids)-1]
+		}
+	}
+	return b.Build()
 }
 
-// combine runs Hu–Tucker's combination phase on n ≥ 2 items and returns
-// the combination tree: merge k joins nodes left[k] and right[k] into
-// node n+k, where node ids below n are the items. Each step merges the
-// compatible pair (no external node strictly between them) with the
-// smallest (fl(w[i]+w[j]), i, j), positions in sequence order.
-//
-// The working sequence lives in flat slices indexed by slot: slot s holds
-// the node item s started as, and a merge keeps its left slot and unlinks
-// its right one, so slot order is sequence order and slot 0 is always the
-// head. The sequence splits into segments: slot 0 or an external node,
-// the internal nodes after it, and the next external node. Every
-// compatible pair lies in exactly one segment, so the global best pair is
-// the least of the segments' best pairs, which a heap caches. A merge
-// changes only the segment holding its pair, joined to its neighbour
-// across each external endpoint it consumes, and only that segment is
-// rescanned.
-func combine(items []Item) (left, right []int32) {
-	n := len(items)
-	w := make([]float64, n)
-	ext := make([]bool, n)
-	prev := make([]int32, n)
-	next := make([]int32, n)
-	node := make([]int32, n)
-	version := make([]uint32, n)
-	for s, it := range items {
-		w[s], ext[s], node[s] = it.Weight, true, int32(s)
-		prev[s], next[s] = int32(s-1), int32(s+1)
+// indexLabels returns the index-node labels I1 … In, cut from one string.
+func indexLabels(n int) []string {
+	buf := make([]byte, 0, n*(len(strconv.Itoa(n))+2))
+	for k := 1; k <= n; k++ {
+		if k > 1 {
+			buf = append(buf, ',')
+		}
+		buf = append(buf, 'I')
+		buf = strconv.AppendInt(buf, int64(k), 10)
 	}
-	next[n-1] = -1
-	left, right = make([]int32, n-1), make([]int32, n-1)
-	segW := make([]float64, 0, n)
-	segS := make([]int32, 0, n)
-
-	// best scans the segment starting at slot start. fl(a+b) is monotone
-	// in a and b, so the least sum pairing node a with a later node is
-	// fl(w[a] + the minimum weight after a): a backward walk with that
-	// suffix minimum finds the least sum and the first i reaching it, and
-	// j is the first node after i reaching it with i. This is the
-	// smallest (fl-sum, i, j), float rounding ties included.
-	best := func(start int32) (pairCand, bool) {
-		segW, segS = segW[:0], segS[:0]
-		for s := start; s >= 0; s = next[s] {
-			segW = append(segW, w[s])
-			segS = append(segS, s)
-			if ext[s] && s != start {
-				break
-			}
-		}
-		if len(segW) < 2 {
-			return pairCand{}, false
-		}
-		sum, bi := math.Inf(1), 0
-		sufMin := segW[len(segW)-1]
-		for a := len(segW) - 2; a >= 0; a-- {
-			if s := segW[a] + sufMin; s <= sum {
-				sum, bi = s, a
-			}
-			if segW[a] < sufMin {
-				sufMin = segW[a]
-			}
-		}
-		bj := bi + 1
-		for segW[bi]+segW[bj] != sum {
-			bj++
-		}
-		return pairCand{sum: sum, i: segS[bi], j: segS[bj], start: start, version: version[start]}, true
-	}
-
-	q := pqueue.New(func(a, b pairCand) bool {
-		if a.sum != b.sum {
-			return a.sum < b.sum
-		}
-		if a.i != b.i {
-			return a.i < b.i
-		}
-		return a.j < b.j
-	})
-	q.Reserve(2 * n)
-	for s := int32(0); s < int32(n-1); s++ {
-		c, _ := best(s)
-		q.Push(c)
-	}
-	for k := 0; k < n-1; k++ {
-		c := q.Pop()
-		for c.version != version[c.start] {
-			c = q.Pop()
-		}
-		i, j := c.i, c.j
-		left[k], right[k] = node[i], node[j]
-		node[i] = int32(n + k)
-		w[i] += w[j]
-		ext[i] = false
-		next[prev[j]] = next[j]
-		if next[j] >= 0 {
-			prev[next[j]] = prev[j]
-		}
-		// A consumed external i joins the segment ending at i; a consumed
-		// external j joins the segment starting at j, whose cached pair
-		// dies with version[j].
-		start := c.start
-		if start == i && i != 0 {
-			for start = prev[i]; start != 0 && !ext[start]; start = prev[start] {
-			}
-		}
-		version[start]++
-		version[j]++
-		if c, ok := best(start); ok {
-			q.Push(c)
-		}
-	}
-	return left, right
+	return strings.Split(string(buf), ",")
 }
 
 // OptimalAlphabetic builds the optimal alphabetic binary tree by the

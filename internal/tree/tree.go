@@ -11,6 +11,7 @@ package tree
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/bitset"
@@ -364,13 +365,13 @@ func (b *Builder) fail(format string, args ...interface{}) ID {
 	return None
 }
 
+// Grow reserves room for n more nodes, so a caller that knows the tree's
+// size adds them without reallocating.
+func (b *Builder) Grow(n int) { b.nodes = slices.Grow(b.nodes, n) }
+
 func (b *Builder) add(n node) ID {
 	id := ID(len(b.nodes))
 	b.nodes = append(b.nodes, n)
-	if n.parent != None {
-		p := &b.nodes[n.parent]
-		p.children = append(p.children, id)
-	}
 	return id
 }
 
@@ -473,25 +474,44 @@ func (b *Builder) Build() (*Tree, error) {
 	keyed := true
 
 	// Planners walk trees in orders far from ID order; packed arrays keep
-	// those walks in cache.
+	// those walks in cache. The child lists come from the parent links in
+	// one counting pass: firstKid[p] first counts p's children, then holds
+	// the end of p's block, and placing the children from the highest ID
+	// down moves it back to the block's start, children in ID order.
 	t.parents = make([]ID, len(t.nodes))
 	t.firstKid = make([]int32, len(t.nodes)+1)
-	t.kids = make([]ID, 0, len(t.nodes))
 	for id := range t.nodes {
-		n := &t.nodes[id]
-		t.parents[id] = n.parent
-		t.firstKid[id] = int32(len(t.kids))
-		t.kids = append(t.kids, n.children...)
-		n.children = t.kids[t.firstKid[id]:len(t.kids):len(t.kids)]
+		p := t.nodes[id].parent
+		t.parents[id] = p
+		if p != None {
+			t.firstKid[p]++
+		}
 	}
-	t.firstKid[len(t.nodes)] = int32(len(t.kids))
+	var end int32
+	for id := range t.firstKid {
+		end += t.firstKid[id]
+		t.firstKid[id] = end
+	}
+	t.kids = make([]ID, end)
+	for id := len(t.nodes) - 1; id >= 0; id-- {
+		if p := t.parents[id]; p != None {
+			t.firstKid[p]--
+			t.kids[t.firstKid[p]] = ID(id)
+		}
+	}
+	for id := range t.nodes {
+		lo, hi := t.firstKid[id], t.firstKid[id+1]
+		t.nodes[id].children = t.kids[lo:hi:hi]
+	}
 
 	// Iterative preorder walk computing levels, ranks and aggregates.
 	type frame struct {
 		id    ID
 		level int
 	}
-	stack := []frame{{t.root, 1}}
+	stack := make([]frame, 1, 64)
+	stack[0] = frame{t.root, 1}
+	t.preorderIDs = make([]ID, 0, len(t.nodes))
 	indexRank := 0
 	pos := 0
 	for len(stack) > 0 {
