@@ -29,7 +29,7 @@ fuzz:
 
 bench:
 	$(GO) test -run xxx -bench . -benchmem -benchtime 50x .
-	$(GO) test -run xxx -bench 'Evaluate|Compile' -benchmem ./internal/sim
+	$(GO) test -run xxx -bench 'Query|Evaluate|Compile' -benchmem ./internal/sim
 	$(GO) test -run xxx -bench Stage -benchmem ./internal/epoch
 	$(GO) test -run xxx -bench HuTucker -benchmem ./internal/alphatree
 	$(GO) test -run xxx -bench 'AllocateSorted|Polish|Levels' -benchmem ./internal/heuristic ./internal/alloc

@@ -84,12 +84,6 @@ func (tl *Timeline) CycleSlot(t int) (Entry, int) {
 	return e, (t-e.Start)%e.Prog.CycleLen() + 1
 }
 
-// bucketAt reads the bucket on the air at (ch, t).
-func (tl *Timeline) bucketAt(ch, t int) (Entry, Bucket) {
-	e, cs := tl.CycleSlot(t)
-	return e, e.Prog.buckets[ch-1][cs-1]
-}
-
 // QuerySwitch retrieves the data item with the given key from the
 // timeline, arriving at the given absolute slot, under env: the keyed
 // protocol of Session.Lookup over the analytic medium. A descent that
@@ -101,8 +95,9 @@ func (tl *Timeline) bucketAt(ch, t int) (Entry, Bucket) {
 // restarted work surfaces as probe wait — the client-visible
 // reallocation cost. On failure the partial Metrics are returned.
 func (tl *Timeline) QuerySwitch(arrival int, key int64, pw Power, env FaultConfig) (Metrics, bool, error) {
-	w, err := tl.twin(env)
-	if err != nil {
+	w := twins.Get().(*twin)
+	defer twins.Put(w)
+	if err := w.open(*tl, env, false); err != nil {
 		return Metrics{}, false, err
 	}
 	return w.lookup(arrival, key, pw)
@@ -114,8 +109,9 @@ func (tl *Timeline) QuerySwitch(arrival int, key int64, pw Power, env FaultConfi
 // crash observed mid-scan invalidates the whole frontier, so the client
 // discards the partial result set and re-scans from the next probe.
 func (tl *Timeline) QueryRangeSwitch(arrival int, lo, hi int64, pw Power, env FaultConfig) (RangeResult, error) {
-	w, err := tl.twin(env)
-	if err != nil {
+	w := twins.Get().(*twin)
+	defer twins.Put(w)
+	if err := w.open(*tl, env, false); err != nil {
 		return RangeResult{}, err
 	}
 	return w.scan(arrival, lo, hi, pw)
@@ -149,8 +145,9 @@ func EvaluateAdaptive(tl *Timeline, lo, hi int, demand []Demand, pw Power, fc Fa
 	if total == 0 {
 		return s, 0, fmt.Errorf("sim: zero total demand")
 	}
-	tw, err := tl.twin(fc)
-	if err != nil {
+	tw := twins.Get().(*twin)
+	defer twins.Put(tw)
+	if err := tw.open(*tl, fc, false); err != nil {
 		return s, 0, err
 	}
 	phases := float64(hi - lo)

@@ -92,6 +92,43 @@ func TestQueryDetectsPointerToWrongNode(t *testing.T) {
 	}
 }
 
+// missingPointerProgram is corruptedProgram with the root's first
+// pointer (toward index node 2, the parent of A and B) removed.
+func missingPointerProgram(t *testing.T) *Program {
+	t.Helper()
+	p := corruptedProgram(t)
+	pos := p.slotOf[p.Tree().Root()]
+	b := &p.buckets[pos.Channel-1][pos.Slot-1]
+	if got := p.Tree().Label(b.Children[0].Target); got != "2" {
+		t.Fatalf("root's first pointer targets %s, want 2", got)
+	}
+	b.Children = b.Children[1:]
+	return p
+}
+
+// TestQueryDetectsMissingPointer: a descent that ends at a bucket without
+// the pointer toward the target must fail, not report that bucket as the
+// data.
+func TestQueryDetectsMissingPointer(t *testing.T) {
+	p := missingPointerProgram(t)
+	tr := p.Tree()
+	for _, label := range []string{"A", "B"} {
+		for a := 0; a < p.CycleLen(); a++ {
+			if m, err := p.Query(a, tr.FindLabel(label), testPower); !errors.Is(err, ErrBrokenPointer) {
+				t.Fatalf("Query(%d, %s) = %+v, %v; want ErrBrokenPointer", a, label, m, err)
+			}
+		}
+	}
+	// The other subtree is untouched.
+	if _, err := p.Query(0, tr.FindLabel("D"), testPower); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestEvaluateDetectsMissingPointer(t *testing.T) {
+	assertEvaluateFails(t, missingPointerProgram(t), ErrBrokenPointer)
+}
+
 func TestRangeQueryDetectsEmptyBucket(t *testing.T) {
 	b := tree.NewBuilder()
 	r := b.AddRoot("r")
@@ -202,20 +239,14 @@ func TestEvaluateDetectsBrokenRootCopy(t *testing.T) {
 }
 
 // TestEvaluateRootCopyMissingPointer: a root copy without a pointer to
-// one child makes queries below that child end as negative lookups at the
-// copy. That is no error for the per-query protocol, and Evaluate must
-// charge exactly what the protocol charges.
+// one child strands the queries below that child that start from the
+// copy. The per-query protocol fails them with ErrBrokenPointer instead of
+// charging the copy as their data, and so must Evaluate.
 func TestEvaluateRootCopyMissingPointer(t *testing.T) {
 	p, s := rootCopyProgram(t)
 	b := &p.buckets[0][s-1]
 	b.Children = b.Children[1:]
-	want, err := oracleEvaluate(p, testPower, FaultConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, err := Evaluate(p, testPower); err != nil || got != want {
-		t.Fatalf("Evaluate = %+v, %v; oracle %+v", got, err, want)
-	}
+	assertEvaluateFails(t, p, ErrBrokenPointer)
 }
 
 // TestEvaluateDetectsRemappedRootChannel: a program remapped off channel

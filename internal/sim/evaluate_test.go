@@ -249,18 +249,20 @@ func TestEvaluateMatchesPerQueryOracle(t *testing.T) {
 	t.Logf("%d programs, %d root copies", len(progs), copied)
 }
 
-// TestEvaluateFaultyLossyKeepsPerQueryPath: a model that can lose or
-// corrupt a read charges each query its own slot outcomes, so it must not
+// TestEvaluateFaultyLossyKeepsPerQueryPath: an environment that can lose
+// a read — a model that drops or corrupts, an outage schedule, a station
+// downtime — charges each query its own slot outcomes, so it must not
 // take the factored path and must still equal the per-query average.
 func TestEvaluateFaultyLossyKeepsPerQueryPath(t *testing.T) {
-	for _, model := range []fault.Model{
-		{Seed: 3, Drop: 0.1},
-		{Seed: 4, Corrupt: 0.1},
-		{Seed: 5, Drop: 0.05, Corrupt: 0.05, Stall: 0.1},
+	for _, fc := range []FaultConfig{
+		{Model: fault.Model{Seed: 3, Drop: 0.1}},
+		{Model: fault.Model{Seed: 4, Corrupt: 0.1}},
+		{Model: fault.Model{Seed: 5, Drop: 0.05, Corrupt: 0.05, Stall: 0.1}},
+		{Outages: fault.Outages{{Channel: 2, StartSlot: 3, EndSlot: 9}}, DeadAir: DefaultDeadAir},
+		{Downtimes: fault.Downtimes{{StartSlot: 4, EndSlot: 7}}, Backoff: fault.Backoff{Seed: 6, Base: 1, Cap: 4}},
 	} {
-		fc := FaultConfig{Model: model}
 		if fc.lossless() {
-			t.Fatalf("%+v: lossy model takes the factored path", model)
+			t.Fatalf("%+v: lossy environment takes the factored path", fc)
 		}
 		for _, opt := range []Options{{}, {FillWithRootCopies: true}} {
 			tr := huTuckerTree(t, 12, &stats.Zipf{Theta: 0.8}, 7)
@@ -278,10 +280,13 @@ func TestEvaluateFaultyLossyKeepsPerQueryPath(t *testing.T) {
 			}
 			got, err := EvaluateFaulty(p, testPower, fc)
 			if err != nil || got != want {
-				t.Fatalf("%+v: EvaluateFaulty = %+v, %v; oracle %+v", model, got, err, want)
+				t.Fatalf("%+v: EvaluateFaulty = %+v, %v; oracle %+v", fc, got, err, want)
 			}
-			if got.Retries == 0 {
-				t.Fatalf("%+v: no retries charged", model)
+			if got.Retries+got.Failovers+got.Reconnects == 0 {
+				t.Fatalf("%+v: no recovery charged", fc)
+			}
+			if lossless, err := Evaluate(p, testPower); err != nil || got.AccessTime <= lossless.AccessTime {
+				t.Fatalf("%+v: access time %v does not exceed the lossless %v (%v)", fc, got.AccessTime, lossless.AccessTime, err)
 			}
 		}
 	}

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/fault"
 	"repro/internal/tree"
@@ -43,15 +44,15 @@ type air struct {
 // radio opens a radio on the static program p.
 func (p *Program) radio(env *FaultConfig) *air {
 	a := &air{env: env, born: -1}
-	a.tune(p)
+	a.tl = a.tune(p)
 	return a
 }
 
-// tune points the radio at the static program p: the single-epoch
-// timeline, without allocating one.
-func (a *air) tune(p *Program) {
+// tune returns the single-epoch timeline of the static program p, backed
+// by the radio's own storage so that it allocates nothing.
+func (a *air) tune(p *Program) Timeline {
 	a.one[0] = Entry{Prog: p}
-	a.tl.entries = a.one[:]
+	return Timeline{entries: a.one[:]}
 }
 
 // Hear implements Medium.
@@ -105,64 +106,81 @@ func (e Entry) view(v *View, b *Bucket) {
 		v.Kind = KindEmpty
 	case t.IsData(b.Node):
 		v.Kind = KindData
-		v.Key, _ = t.Key(b.Node)
+		v.Key = e.Prog.span[b.Node].lo
 		v.Label = t.Label(b.Node)
 	default:
 		v.Kind = KindIndex
 	}
 }
 
-// twin is a keyed session over the analytic medium, allocated as one
-// object and reusable query after query.
+// twin is a session over the analytic medium, allocated as one object
+// and reusable query after query. The query entry points borrow one from
+// twins for the call, so a point query allocates nothing; the Evaluate
+// family runs on the one in its evaluator.
 type twin struct {
 	s Session
 	a air
 }
 
-// twin starts keyed sessions on the timeline under env.
-func (tl *Timeline) twin(env FaultConfig) (*twin, error) {
-	w := &twin{}
-	w.a.tl = *tl
-	return w.open(env)
-}
+// twins recycles twins across calls and goroutines.
+var twins = sync.Pool{New: func() any { return new(twin) }}
 
-// twin starts keyed sessions on the static program p under env.
-func (p *Program) twin(env FaultConfig) (*twin, error) {
-	w := &twin{}
-	w.a.tune(p)
-	return w.open(env)
-}
-
-// open checks that every epoch carries a keyed tree and arms the session.
-func (w *twin) open(env FaultConfig) (*twin, error) {
-	for _, e := range w.a.tl.entries {
-		if e.Prog.IsRestored() || !e.Prog.t.Keyed() {
-			return nil, fmt.Errorf("sim: epoch %d tree is not keyed", e.Epoch)
+// open points the radio at tl and arms the session under env. A keyed
+// session needs every epoch's tree keyed. A by-node session (byNode, on
+// one static program) looks up a leaf rank on an unkeyed tree, and starts
+// its root belief on the program's root channel.
+func (w *twin) open(tl Timeline, env FaultConfig, byNode bool) error {
+	w.a.tl = tl
+	for _, e := range tl.entries {
+		if e.Prog.IsRestored() || !(byNode || e.Prog.t.Keyed()) {
+			return fmt.Errorf("sim: epoch %d tree is not keyed", e.Epoch)
 		}
 	}
 	if err := env.Downtimes.Validate(); err != nil {
-		return nil, err
+		return err
 	}
-	w.s = Session{Medium: &w.a, Env: env, Channels: w.a.tl.entries[0].Prog.k}
-	w.a.env = &w.s.Env
-	return w, nil
+	p := w.a.tl.entries[0].Prog
+	s := &w.s
+	s.Medium, s.Env, s.Channels, s.root = &w.a, env, p.k, 0
+	if byNode {
+		s.root = p.RootChannel()
+	}
+	w.a.env = &s.Env
+	return nil
 }
 
-// fresh readies the radio for a new session: nothing heard yet, on a
+// fresh readies the twin for a session from nothing: no budget spent,
+// the root belief where a query starts it, no slot before clock heard yet
+// (a session picking up after a bucket heard at slot t passes t+1), on a
 // connection that predates the broadcast.
-func (w *twin) fresh() *Session {
-	w.a.clock, w.a.born = 0, -1
+func (w *twin) fresh(clock int) *Session {
+	w.a.clock, w.a.born = clock, -1
+	w.s.m, w.s.rootCh = Metrics{}, max(w.s.root, 1)
 	return &w.s
 }
 
 // lookup runs Session.Lookup on a fresh session.
 func (w *twin) lookup(arrival int, key int64, pw Power) (Metrics, bool, error) {
-	found, _, m, err := w.fresh().Lookup(arrival, key, pw)
+	found, _, m, err := w.fresh(0).Lookup(arrival, key, pw)
 	return m, found, err
+}
+
+// find runs the by-node query on target on a fresh session: a lookup of
+// the target's key that must end at the target.
+func (w *twin) find(arrival int, target tree.ID, pw Power) (Metrics, error) {
+	p := w.a.tl.entries[0].Prog
+	m, found, err := w.lookup(arrival, p.span[target].lo, pw)
+	if err == nil && !found {
+		err = p.lost(target)
+	}
+	if err != nil {
+		return Metrics{}, err
+	}
+	return m, nil
 }
 
 // scan runs Session.LookupRange on a fresh session.
 func (w *twin) scan(arrival int, lo, hi int64, pw Power) (RangeResult, error) {
-	keys, m, err := w.fresh().LookupRange(arrival, lo, hi, pw)
+	keys, m, err := w.fresh(0).LookupRange(arrival, lo, hi, pw)
 	return RangeResult{Metrics: m, Keys: keys}, err
 }

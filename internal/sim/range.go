@@ -17,8 +17,9 @@ type RangeResult struct {
 // medium; run Timeline.QueryRangeSwitch on NewTimeline(p, 0) for any
 // other environment.
 func (p *Program) QueryRange(arrival int, lo, hi int64, pw Power) (RangeResult, error) {
-	w, err := p.twin(FaultConfig{})
-	if err != nil {
+	w := twins.Get().(*twin)
+	defer twins.Put(w)
+	if err := w.open(w.a.tune(p), FaultConfig{}, false); err != nil {
 		return RangeResult{}, err
 	}
 	return w.scan(arrival, lo, hi, pw)

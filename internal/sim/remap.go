@@ -65,6 +65,7 @@ func (p *Program) Remap(phys []int, width int) (*Program, error) {
 		cycleLen: p.cycleLen,
 		buckets:  make([][]Bucket, width),
 		slotOf:   make([]alloc.Position, len(p.slotOf)),
+		span:     p.span,
 		rootCh:   phys[0],
 	}
 	// Dark channels carry filler buckets that still advertise the cycle

@@ -47,8 +47,9 @@ func EvaluateReport(tl *Timeline, lo, hi int, demand []Demand, pw Power, env Fau
 	if total == 0 {
 		return r, fmt.Errorf("sim: zero total demand")
 	}
-	w, err := tl.twin(env)
-	if err != nil {
+	w := twins.Get().(*twin)
+	defer twins.Put(w)
+	if err := w.open(*tl, env, false); err != nil {
 		return r, err
 	}
 	phases := float64(hi - lo)

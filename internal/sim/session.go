@@ -8,22 +8,28 @@ import (
 	"repro/internal/tree"
 )
 
-// This file is the client protocol, written once: the keyed point lookup,
-// the range scan and batch execution, with all four recovery classes and
-// the shared budget. A Session drives it over a Medium, which answers
-// each wake-up; the analytic medium (air, in medium.go) derives the answer
-// from a Timeline and a FaultConfig, and the netcast client answers it
-// from a socket. Because both media feed the same engine, the tower and
-// its analytic twin report byte-identical Metrics by construction; the
-// cross-tests in internal/netcast check that the two media agree.
+// This file is the client protocol, written once: the point lookup, the
+// range scan and batch execution, with all four recovery classes and the
+// shared budget. It is the only code that reads a bucket for a query. A
+// Session drives it over a Medium, which answers each wake-up; the
+// analytic medium (air, in medium.go) derives the answer from a Timeline
+// and a FaultConfig, and the netcast client answers it from a socket.
+// Because both media feed the same engine, the tower and its analytic
+// twin report byte-identical Metrics by construction; the cross-tests in
+// internal/netcast check that the two media agree. A by-node query
+// (Program.Query, the Evaluate family) is a point lookup of the target's
+// key, which on an unkeyed tree is its leaf rank (keySpans); Evaluate
+// memoises the lookup's probe and descent steps across queries.
 //
 // The protocol:
 //
-//   - probe: read the believed root channel — initially 1, then whatever
-//     the RootChannel stamp of the last bucket heard says — and unless the
-//     bucket opens a descent (the root or a root copy), doze to the next
-//     cycle start, at most MaxProbeRedirects times;
-//   - descend (point) or scan (range) by the advertised key ranges;
+//   - probe: read the believed root channel — initially 1 (the program's
+//     root channel for a by-node query), then whatever the RootChannel
+//     stamp of the last bucket heard says — and unless the bucket opens a
+//     descent (the root or a root copy), doze to the next cycle start, at
+//     most MaxProbeRedirects times;
+//   - descend (point) or scan (range) by the advertised key ranges, one
+//     step per bucket: take the first child whose range covers the key;
 //   - retry: a read that yields nothing usable re-requests the slot just
 //     heard, whose next airing comes one cycle later (Metrics.Retries);
 //   - restart: a bucket stamped with a newer epoch than the descent began
@@ -185,7 +191,7 @@ func (m *Metrics) charge(r Recovery, budget, ch, slot int) error {
 
 // Session is a client's protocol state over a Medium. It runs one query
 // at a time, and each query starts from nothing: no budget spent, root
-// belief on channel 1.
+// belief on channel 1 (on a by-node twin, the program's root channel).
 type Session struct {
 	Medium Medium
 	// Env supplies the protocol's parameters: MaxRetries, DeadAir and
@@ -200,6 +206,8 @@ type Session struct {
 
 	m      Metrics
 	rootCh int
+	// root is the channel the root belief starts on; 0 means 1.
+	root int
 }
 
 func (s *Session) charge(r Recovery, ch, slot int) error {
@@ -293,7 +301,7 @@ func (s *Session) probe(at, deadAir int) (r *Reply, again bool, resume int, err 
 }
 
 func (s *Session) begin(arrival int) error {
-	s.m, s.rootCh = Metrics{}, 1
+	s.m, s.rootCh = Metrics{}, max(s.root, 1)
 	if arrival < 0 {
 		return fmt.Errorf("sim: negative arrival %d", arrival)
 	}
@@ -330,10 +338,13 @@ func (s *Session) Lookup(arrival int, key int64, pw Power) (found bool, label st
 
 func (s *Session) lookup(arrival int, key int64) (found bool, label string, start, last int, err error) {
 	deadAir := s.Env.deadAir()
-	probeAt := arrival
-attempt:
-	for {
+	for probeAt := arrival; ; {
 		r, again, resume, err := s.probe(probeAt, deadAir)
+		if err == nil && !again {
+			start = r.Slot
+			s.m.ProbeWait = start - arrival
+			r, again, resume, err = s.descend(r, key, deadAir)
+		}
 		if err != nil {
 			return false, "", 0, 0, err
 		}
@@ -341,48 +352,70 @@ attempt:
 			probeAt = resume
 			continue
 		}
-		epoch, start := r.View.Epoch, r.Slot
-		s.m.ProbeWait = start - arrival
-		for reads := 0; reads < maxAttemptReads; reads++ {
-			// The epoch stamp is checked before the bucket is interpreted:
-			// across a swap the slot may hold anything.
-			v := &r.View
-			if v.Epoch != epoch {
-				if err := s.charge(Restart, s.rootCh, r.Slot); err != nil {
-					return false, "", 0, 0, err
-				}
-				probeAt = r.Slot + 1
-				continue attempt
-			}
-			if v.Kind == KindData {
-				return v.Key == key, v.Label, start, r.Slot, nil
-			}
-			var ptr Pointer
-			covered := false
-			for _, p := range v.Pointers {
-				if key >= p.KeyLo && key <= p.KeyHi {
-					ptr, covered = p, true
-					break
-				}
-			}
-			if !covered {
-				// Negative lookup: no child covers the key.
-				return false, "", start, r.Slot, nil
-			}
-			if r, again, resume, err = s.fetch(ptr.Channel, r.Slot+ptr.Offset, deadAir); err != nil {
-				return false, "", 0, 0, err
-			}
-			if again {
-				probeAt = resume
-				continue attempt
-			}
-			if r.View.Epoch == epoch && !holds(&r.View, ptr.Target) {
-				return false, "", 0, 0, fmt.Errorf("%w: pointer to node %v found %v (kind %d) at channel %d slot %d",
-					ErrBrokenPointer, ptr.Target, r.View.Node, r.View.Kind, ptr.Channel, r.Slot)
-			}
+		if r.View.Kind != KindData {
+			// Negative lookup: no child covers the key.
+			return false, "", start, r.Slot, nil
 		}
-		return false, "", 0, 0, fmt.Errorf("sim: descent did not terminate")
+		return r.View.Key == key, r.View.Label, start, r.Slot, nil
 	}
+}
+
+// descend steps toward key from r, the start bucket of an attempt, until
+// a bucket ends the descent, and returns that bucket. again reports the
+// attempt abandoned, to re-probe from resume.
+func (s *Session) descend(r *Reply, key int64, deadAir int) (last *Reply, again bool, resume int, err error) {
+	epoch := r.View.Epoch
+	for reads := 0; reads < maxAttemptReads; reads++ {
+		next, again, resume, err := s.step(r, epoch, key, deadAir)
+		if next == nil || again || err != nil {
+			return r, again, resume, err
+		}
+		r = next
+	}
+	return nil, false, 0, fmt.Errorf("sim: descent did not terminate")
+}
+
+// step takes one descent step toward key from r, a bucket heard in the
+// attempt begun in epoch. next is nil when r ends the descent: a data
+// bucket, or an index bucket no child of which covers key (a negative
+// lookup). A bucket from a newer epoch means the program was swapped:
+// the step charges a restart and the attempt is over.
+func (s *Session) step(r *Reply, epoch uint32, key int64, deadAir int) (next *Reply, again bool, resume int, err error) {
+	// The epoch stamp is checked before the bucket is interpreted: across
+	// a swap the slot may hold anything.
+	if r.View.Epoch != epoch {
+		if err := s.charge(Restart, s.rootCh, r.Slot); err != nil {
+			return nil, false, 0, err
+		}
+		return nil, true, r.Slot + 1, nil
+	}
+	j := route(&r.View, key)
+	if j < 0 {
+		return nil, false, 0, nil
+	}
+	// A bucket of the attempt's epoch must hold the pointer's target; one
+	// from a newer epoch is left for the next step to restart on.
+	ptr := r.View.Pointers[j]
+	next, again, resume, err = s.fetch(ptr.Channel, r.Slot+ptr.Offset, deadAir)
+	if err == nil && !again && next.View.Epoch == epoch && !holds(&next.View, ptr.Target) {
+		return nil, false, 0, fmt.Errorf("%w: pointer to node %v found %v (kind %d) at channel %d slot %d",
+			ErrBrokenPointer, ptr.Target, next.View.Node, next.View.Kind, ptr.Channel, next.Slot)
+	}
+	return next, again, resume, err
+}
+
+// route returns the index of v's first pointer whose key range covers
+// key, or -1 when v is a data bucket or no child covers key.
+func route(v *View, key int64) int {
+	if v.Kind == KindData {
+		return -1
+	}
+	for i := range v.Pointers {
+		if key >= v.Pointers[i].KeyLo && key <= v.Pointers[i].KeyHi {
+			return i
+		}
+	}
+	return -1
 }
 
 // holds reports whether v can be the bucket a pointer to target promised:

@@ -12,11 +12,15 @@
 //   - tuning time: the number of buckets actually read, which with the
 //     paper's doze mode determines energy consumption.
 //
-// Compile turns any feasible Allocation into a Program of linked buckets;
-// Query drives a single client request against it. The optional root
-// replication (Options.FillWithRootCopies) implements the paper's
-// future-work direction of replicating index nodes to cut the initial
-// probe, reusing otherwise-empty slots.
+// Compile turns any feasible Allocation into a Program of linked buckets.
+// Every query — by node (Query, the Evaluate family) or by key (QueryKey,
+// QueryRange, the Timeline queries, batches) — is a Session, the one
+// client reader (session.go), over the analytic medium (medium.go). A
+// by-node query looks up the target's key; on an unkeyed tree Compile
+// keys each data node by its leaf rank. The optional root replication
+// (Options.FillWithRootCopies) implements the paper's future-work
+// direction of replicating index nodes to cut the initial probe, reusing
+// otherwise-empty slots.
 package sim
 
 import (
@@ -47,15 +51,41 @@ type Pointer struct {
 	Channel int // 1-based target channel
 	Offset  int // slots ahead of the current slot (> 0)
 	Target  tree.ID
-	// KeyLo and KeyHi are the target subtree's key range on a keyed tree
-	// (zero otherwise): what a client routes a keyed lookup by.
+	// KeyLo and KeyHi are the target subtree's key range, what a client
+	// routes a lookup by: the tree's keys on a keyed tree, the leaf ranks
+	// of the subtree's data nodes otherwise (see keySpans).
 	KeyLo, KeyHi int64
 }
 
 // pointerTo builds the pointer to child c at the given offset.
-func pointerTo(t *tree.Tree, ch, off int, c tree.ID) Pointer {
-	lo, hi, _ := t.KeyRange(c)
-	return Pointer{Channel: ch, Offset: off, Target: c, KeyLo: lo, KeyHi: hi}
+func (p *Program) pointerTo(ch, off int, c tree.ID) Pointer {
+	return Pointer{Channel: ch, Offset: off, Target: c, KeyLo: p.span[c].lo, KeyHi: p.span[c].hi}
+}
+
+// keySpan is the [lo, hi] key range a node's subtree covers.
+type keySpan struct{ lo, hi int64 }
+
+// keySpans returns every node's key range. A keyed tree carries its own.
+// Any index tree is alphabetic in the preorder of its leaves, so on an
+// unkeyed tree the leaf rank is a search key: a data node's key is its
+// rank among the data nodes in preorder, and a subtree covers the ranks
+// of its leaves, from its first child's to its last child's.
+func keySpans(t *tree.Tree) []keySpan {
+	spans := make([]keySpan, t.NumNodes())
+	pre, rank := t.Preorder(), int64(t.NumData())
+	for i := len(pre) - 1; i >= 0; i-- {
+		id, kids := pre[i], t.Children(pre[i])
+		switch {
+		case t.Keyed():
+			spans[id].lo, spans[id].hi, _ = t.KeyRange(id)
+		case len(kids) > 0:
+			spans[id] = keySpan{spans[kids[0]].lo, spans[kids[len(kids)-1]].hi}
+		default: // a data node, reached in reverse rank order
+			rank--
+			spans[id] = keySpan{rank, rank}
+		}
+	}
+	return spans
 }
 
 // Bucket is one transmitted unit. Empty filler buckets have Node == tree.None.
@@ -86,7 +116,9 @@ type Program struct {
 	cycleLen int
 	buckets  [][]Bucket // [channel-1][slot-1]
 	slotOf   []alloc.Position
-	opt      Options
+	// span is every node's key range (keySpans): a data node's lookup key
+	// is its lo.
+	span []keySpan
 	// rootCh is the channel whose cycle starts carry the index root: 1 for
 	// a directly compiled program, the first surviving channel for a
 	// program remapped onto a degraded tower (see Remap).
@@ -139,7 +171,7 @@ func Compile(a *alloc.Allocation, opt Options) (*Program, error) {
 		k:        a.Channels(),
 		cycleLen: a.NumSlots(),
 		slotOf:   make([]alloc.Position, t.NumNodes()),
-		opt:      opt,
+		span:     keySpans(t),
 		rootCh:   1,
 	}
 	p.buckets = make([][]Bucket, p.k)
@@ -156,7 +188,7 @@ func Compile(a *alloc.Allocation, opt Options) (*Program, error) {
 		b := Bucket{Node: id}
 		for _, c := range t.Children(id) {
 			cp := a.Pos(c)
-			b.Children = append(b.Children, pointerTo(t, cp.Channel, cp.Slot-pos.Slot, c))
+			b.Children = append(b.Children, p.pointerTo(cp.Channel, cp.Slot-pos.Slot, c))
 		}
 		p.buckets[pos.Channel-1][pos.Slot-1] = b
 	}
@@ -191,7 +223,7 @@ func (p *Program) fillRootCopies(a *alloc.Allocation) {
 			if off <= 0 {
 				off += p.cycleLen
 			}
-			b.Children = append(b.Children, pointerTo(t, cp.Channel, off, c))
+			b.Children = append(b.Children, p.pointerTo(cp.Channel, off, c))
 		}
 		p.buckets[0][s-1] = b
 	}
@@ -260,10 +292,9 @@ const DefaultMaxRetries = 32
 
 // FaultConfig is the environment a query runs in: the medium's faults
 // and the client's recovery parameters. The zero FaultConfig is a
-// perfect, static medium with failover off. The keyed queries (QuerySwitch,
-// QueryRangeSwitch, QueryKey, QueryRange) and QueryBatch honor every
-// field; the by-node queries (Query, QueryFaulty and the Evaluate family)
-// honor Model and MaxRetries.
+// perfect, static medium with failover off. Every entry point that takes
+// one (QueryFaulty, QuerySwitch, QueryRangeSwitch, QueryBatch and the
+// Evaluate family) honors every field.
 type FaultConfig struct {
 	// Model is the seeded per-slot fault distribution; the zero Model is
 	// a perfect channel. A lost or corrupt read is retried at the same
@@ -317,38 +348,23 @@ func (p *Program) Query(arrival int, target tree.ID, pw Power) (Metrics, error) 
 	return p.QueryFaulty(arrival, target, pw, FaultConfig{})
 }
 
-// QueryFaulty is Query over a lossy channel: every read draws from the
-// fault model, lost/corrupt reads are retried on the next cycle, and the
-// returned Metrics include the redundant wake-ups. It fails with an error
-// wrapping fault.ErrRetryBudget when the budget runs out.
+// QueryFaulty is Query under fc: the keyed protocol of Session.Lookup on
+// the target's key (its leaf rank on an unkeyed tree), with the root
+// belief starting on the program's root channel. Every read draws from
+// the environment, lost or corrupt reads are retried on the next cycle,
+// and the returned Metrics include the redundant wake-ups. It fails with
+// an error wrapping fault.ErrRetryBudget when the budget runs out, and
+// with ErrBrokenPointer when the descent ends without the target.
 func (p *Program) QueryFaulty(arrival int, target tree.ID, pw Power, fc FaultConfig) (Metrics, error) {
-	if arrival < 0 {
-		return Metrics{}, fmt.Errorf("sim: negative arrival %d", arrival)
-	}
 	if !p.t.IsData(target) {
 		return Metrics{}, fmt.Errorf("sim: target %s is not a data node", p.t.Label(target))
 	}
-	m, _, err := p.run(arrival, fc, p.toward(target), pw)
-	if err != nil {
+	w := twins.Get().(*twin)
+	defer twins.Put(w)
+	if err := w.open(w.a.tune(p), fc, true); err != nil {
 		return Metrics{}, err
 	}
-	return m, nil
-}
-
-// toward is the descent rule for a query on data node target: stop at the
-// target's bucket, otherwise chase the first child covering it.
-func (p *Program) toward(target tree.ID) func(Bucket) (tree.ID, bool) {
-	return func(b Bucket) (tree.ID, bool) {
-		if b.Node == target {
-			return tree.None, true
-		}
-		for _, c := range b.Children {
-			if c.Target == target || p.t.IsAncestor(c.Target, target) {
-				return c.Target, false
-			}
-		}
-		return tree.None, false
-	}
+	return w.find(arrival, target, pw)
 }
 
 // QueryKey retrieves the data item with the given key on a keyed tree.
@@ -357,123 +373,18 @@ func (p *Program) toward(target tree.ID) func(Bucket) (tree.ID, bool) {
 // keyed protocol (Session.Lookup) on a perfect medium; run
 // Timeline.QuerySwitch on NewTimeline(p, 0) for any other environment.
 func (p *Program) QueryKey(arrival int, key int64, pw Power) (Metrics, bool, error) {
-	w, err := p.twin(FaultConfig{})
-	if err != nil {
+	w := twins.Get().(*twin)
+	defer twins.Put(w)
+	if err := w.open(w.a.tune(p), FaultConfig{}, false); err != nil {
 		return Metrics{}, false, err
 	}
 	return w.lookup(arrival, key, pw)
 }
 
-// readAt is the by-node queries' reader: it reads the bucket transmitted
-// on ch at the absolute slot under the fault model, and a lost or corrupt
-// transmission burns the wake-up and charges a retry, the client
-// re-tuning to the same cycle slot one full cycle later until the budget
-// runs out — the retry rule of the keyed protocol (Session.read). It
-// returns the slot of the successful read.
-func (p *Program) readAt(m *Metrics, fc FaultConfig, ch, slot int) (int, Bucket, error) {
-	for {
-		m.TuningTime++
-		switch fc.Model.At(ch, slot) {
-		case fault.OK, fault.Stall:
-			// Stall delays wall-clock delivery, never the slot clock.
-			return slot, p.buckets[ch-1][p.slotInCycle(slot)-1], nil
-		default: // Drop, Corrupt: nothing usable was heard this slot.
-			if err := m.charge(Retry, fc.budget(), ch, slot); err != nil {
-				return 0, Bucket{}, err
-			}
-			slot += p.cycleLen
-		}
-	}
-}
-
-// run drives the client: probe the root channel, synchronize (or start
-// from a root copy), then follow pointers chosen by descend, which returns
-// the next child to chase or done=true when the current bucket is the
-// answer.
-func (p *Program) run(arrival int, fc FaultConfig, descend func(Bucket) (next tree.ID, done bool), pw Power) (Metrics, bool, error) {
-	var m Metrics
-	now, b, err := p.probe(&m, fc, arrival)
-	if err != nil {
-		return m, false, err
-	}
-	end, found, err := p.descend(&m, fc, now, b, 0, descend)
-	if err != nil {
-		return m, false, err
-	}
-	m.DataWait = end - now + 1
-	m.finish(pw)
-	return m, found, nil
-}
-
-// probe runs the client's arrival on the root channel: read the bucket on
-// air, and unless it is the root or a root copy, doze to the next cycle
-// start and read the root there. It returns the slot and bucket the
-// descent starts from and sets m.ProbeWait.
-func (p *Program) probe(m *Metrics, fc FaultConfig, arrival int) (int, Bucket, error) {
-	// The initial probe read; on a lossy channel it may take several
-	// cycles to hear any root-channel bucket at all.
-	rc := p.RootChannel()
-	now, b, err := p.readAt(m, fc, rc, arrival)
-	if err != nil {
-		return 0, Bucket{}, err
-	}
-	if !(b.RootCopy || (b.Node != tree.None && b.Node == p.t.Root())) {
-		// Doze until the next cycle start, then read the root bucket.
-		if now, b, err = p.readAt(m, fc, rc, now+b.NextCycle); err != nil {
-			return 0, Bucket{}, err
-		}
-		if !(b.RootCopy || b.Node == p.t.Root()) {
-			return 0, Bucket{}, fmt.Errorf("%w (got %v)", ErrMissingRoot, b.Node)
-		}
-	}
-	// ProbeWait is everything before the root bucket the descent started
-	// from — including whole cycles lost to unreadable probes.
-	m.ProbeWait = now - arrival
-	return now, b, nil
-}
-
-// descend follows pointers chosen by step from bucket b, read at slot now
-// as the descent's hop-th bucket, until step reports done (found) or finds
-// no covering child (a negative lookup). It returns the slot of the last
-// bucket read.
-func (p *Program) descend(m *Metrics, fc FaultConfig, now int, b Bucket, hop int, step func(Bucket) (next tree.ID, done bool)) (int, bool, error) {
-	for ; hop <= p.t.NumNodes()+1; hop++ {
-		next, done := step(b)
-		if done || next == tree.None {
-			return now, done, nil
-		}
-		var err error
-		if _, now, err = p.follow(m, fc, now, &b, next); err != nil {
-			return 0, false, err
-		}
-	}
-	return 0, false, fmt.Errorf("sim: descent did not terminate")
-}
-
-// follow reads the bucket that b's pointer to next addresses, b having
-// been read at slot now, checks it holds next, and replaces b with it. It
-// returns the channel and slot of the read.
-func (p *Program) follow(m *Metrics, fc FaultConfig, now int, b *Bucket, next tree.ID) (int, int, error) {
-	var ptr *Pointer
-	for i := range b.Children {
-		if b.Children[i].Target == next {
-			ptr = &b.Children[i]
-			break
-		}
-	}
-	if ptr == nil {
-		return 0, 0, fmt.Errorf("%w: bucket %v has no pointer to %s", ErrBrokenPointer, b.Node, p.t.Label(next))
-	}
-	now, got, err := p.readAt(m, fc, ptr.Channel, now+ptr.Offset)
-	if err != nil {
-		return 0, 0, err
-	}
-	if got.Node != next {
-		return 0, 0, fmt.Errorf("%w: pointer to %s found %v at channel %d slot %d",
-			ErrBrokenPointer, p.t.Label(next), got.Node, ptr.Channel, p.slotInCycle(now))
-	}
-	*b = got
-	return ptr.Channel, now, nil
+// lost is the error of a by-node descent that ended without its target:
+// a bucket on the way lacked the pointer toward it.
+func (p *Program) lost(target tree.ID) error {
+	return fmt.Errorf("%w: no pointer toward %s", ErrBrokenPointer, p.t.Label(target))
 }
 
 // Summary aggregates weighted-average metrics over arrivals and targets.
@@ -510,31 +421,37 @@ func Evaluate(p *Program, pw Power) (Summary, error) {
 	return EvaluateFaulty(p, pw, FaultConfig{})
 }
 
-// EvaluateFaulty is Evaluate over one seeded realization of the lossy
-// channel: the same weighted average, with every query paying the
-// deterministic per-slot losses of fc.Model. Averaging over several model
-// seeds approximates the expectation over channel noise.
+// EvaluateFaulty is Evaluate under fc: the same weighted average, with
+// every query paying the deterministic per-slot losses of fc.Model, the
+// outages and the station downtimes. Averaging over several model seeds
+// approximates the expectation over channel noise.
 //
-// When no read can be lost (fc.Model.Drop and Corrupt are 0; stalls never
-// move the slot clock) each query factors into a phase start, a first hop
-// and a per-target suffix that are computed once and reused, so the loop
-// over (target, phase) only adds integers. The result is bit-identical to
+// When no read can be lost (fc.Model.Drop and Corrupt are 0, and there
+// are no outages or downtimes; stalls never move the slot clock) each
+// query factors into a phase start, a first hop and a per-target suffix
+// that are computed once by Session steps and reused, so the loop over
+// (target, phase) only adds integers. The result is bit-identical to
 // averaging QueryFaulty over every (target, phase) in catalog order, and
-// a corrupted program fails with the error the first failing query would
-// return. A lossy model draws a fresh outcome for every absolute slot, so
-// no two queries share a cost; it runs QueryFaulty per (target, phase).
+// a corrupted program fails with the sentinel error the first failing
+// query fails with. A lossy environment decides every read by its
+// absolute slot, so no two queries share a cost; it runs QueryFaulty's
+// session per (target, phase).
 func EvaluateFaulty(p *Program, pw Power, fc FaultConfig) (Summary, error) {
 	var s Summary
 	total := p.t.TotalWeight()
 	if total == 0 {
 		return s, fmt.Errorf("sim: zero total weight")
 	}
+	ev, err := openEvaluator(p, fc)
+	if err != nil {
+		return s, err
+	}
 	phases := float64(p.cycleLen)
 	if !fc.lossless() {
 		for _, d := range p.t.DataIDs() {
 			w := p.t.Weight(d) / total
 			for a := 0; a < p.cycleLen; a++ {
-				m, err := p.QueryFaulty(a, d, pw, fc)
+				m, err := ev.w.find(a, d, pw)
 				if err != nil {
 					return s, err
 				}
@@ -553,7 +470,7 @@ func EvaluateFaulty(p *Program, pw Power, fc FaultConfig) (Summary, error) {
 	}
 	// Retries, Restarts, Failovers and Reconnects are zero on every query
 	// here, so their sums stay +0 as in the per-query loop.
-	ev := newEvaluator(p)
+	ev.probe()
 	var m Metrics
 	for _, d := range p.t.DataIDs() {
 		w := p.t.Weight(d) / total
@@ -586,9 +503,13 @@ type ItemMetrics struct {
 // catalog (preorder) order. It uses Evaluate's factoring and is
 // bit-identical to averaging Query over every phase.
 func EvaluatePerItem(p *Program, pw Power) ([]ItemMetrics, error) {
+	ev, err := openEvaluator(p, FaultConfig{})
+	if err != nil {
+		return nil, err
+	}
+	ev.probe()
 	phases := float64(p.cycleLen)
 	out := make([]ItemMetrics, 0, p.t.NumData())
-	ev := newEvaluator(p)
 	var m Metrics
 	for _, d := range p.t.DataIDs() {
 		im := ItemMetrics{Label: p.t.Label(d), Weight: p.t.Weight(d)}

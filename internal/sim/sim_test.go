@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"fmt"
 	"math"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -375,22 +377,104 @@ func TestQuickRootCopiesSound(t *testing.T) {
 	}
 }
 
+// BenchmarkQuery times one point query on a perfect medium: by node on
+// the example tree and on a 12-key Hu–Tucker tree, and by key on the
+// same keyed tree (QueryKey, and QuerySwitch on its single-epoch
+// timeline). Each must allocate nothing.
 func BenchmarkQuery(b *testing.B) {
 	res, err := topo.Exact(tree.Fig1(), 2)
 	if err != nil {
 		b.Fatal(err)
 	}
-	p, err := Compile(res.Alloc, Options{})
+	fig1, err := Compile(res.Alloc, Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
-	target := p.Tree().FindLabel("D")
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := p.Query(i%p.CycleLen(), target, testPower); err != nil {
-			b.Fatal(err)
+	a, err := heuristic.AllocateSorted(huTuckerTree(b, 12, &stats.Zipf{Theta: 0.8}, 1), 2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	keyed, err := Compile(a, Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	d := fig1.Tree().FindLabel("D")
+	last := keyed.Tree().DataIDs()[keyed.Tree().NumData()-1]
+	lastKey, _ := keyed.Tree().Key(last)
+	tl := keyed.timeline()
+	for _, c := range []struct {
+		name  string
+		p     *Program
+		query func(p *Program, arrival int) error
+	}{
+		{"node", fig1, func(p *Program, arrival int) error {
+			_, err := p.Query(arrival, d, testPower)
+			return err
+		}},
+		{"keyed-node", keyed, func(p *Program, arrival int) error {
+			_, err := p.Query(arrival, last, testPower)
+			return err
+		}},
+		{"key", keyed, func(p *Program, arrival int) error {
+			_, found, err := p.QueryKey(arrival, lastKey, testPower)
+			if err == nil && !found {
+				err = fmt.Errorf("key %d not found", lastKey)
+			}
+			return err
+		}},
+		{"switch", keyed, func(p *Program, arrival int) error {
+			_, _, err := tl.QuerySwitch(arrival, lastKey, testPower, FaultConfig{})
+			return err
+		}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := c.query(c.p, i%c.p.CycleLen()); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// TestQueryConcurrent: queries on one program from several goroutines at
+// once, which share the pool of analytic sessions, return what the same
+// queries return one at a time.
+func TestQueryConcurrent(t *testing.T) {
+	a, err := heuristic.AllocateSorted(huTuckerTree(t, 12, &stats.Zipf{Theta: 0.8}, 2), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := Compile(a, Options{FillWithRootCopies: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds := p.Tree().DataIDs()
+	want := make([]Metrics, len(ds)*p.CycleLen())
+	for i := range want {
+		if want[i], err = p.Query(i%p.CycleLen(), ds[i/p.CycleLen()], testPower); err != nil {
+			t.Fatal(err)
 		}
 	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range want {
+				d := ds[i/p.CycleLen()]
+				key, _ := p.Tree().Key(d)
+				m, err := p.Query(i%p.CycleLen(), d, testPower)
+				km, found, kerr := p.QueryKey(i%p.CycleLen(), key, testPower)
+				if err != nil || kerr != nil || !found || m != want[i] || km != want[i] {
+					t.Errorf("query %d: Query %+v, %v; QueryKey %+v, %v, %v; serial %+v", i, m, err, km, found, kerr, want[i])
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // TestEvaluatePerItemConsistent: the weighted average of the per-item
