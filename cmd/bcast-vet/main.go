@@ -1,7 +1,7 @@
 // Command bcast-vet runs the repo's custom static analyzers — the
-// determinism, pooling, goroutine-lifecycle, error-sentinel,
-// lock-discipline, obs-registry, and budget-flow invariants documented
-// in DESIGN.md §9 — over module packages.
+// determinism, pooling, goroutine-lifecycle, error-sentinel (errors.Is
+// and %w), lock-discipline, obs-registry, and one-budget-writer
+// invariants documented in DESIGN.md §9 — over module packages.
 //
 // Usage:
 //

@@ -16,16 +16,16 @@
 //     the go statement, or explicitly declared detached with a
 //     //bcast:detached directive.
 //   - errsentinel: sentinel errors are tested with errors.Is, never
-//     with == / != or string matching.
+//     with == / != or string matching, and fmt.Errorf wraps them with
+//     %w.
 //   - lockdiscipline: no blocking operation (channel ops, net.Conn
 //     I/O, time.Sleep, Wait, blocking registry calls) on any path
 //     where a sync.Mutex/RWMutex is held (CFG-based).
 //   - obsregistry: obs metric/trace names are compile-time constants,
 //     each registered at exactly one site per package, and the obs
 //     handle types keep their nil-receiver no-op guards (CFG-based).
-//   - budgetflow: every recovery-counter increment is followed by a
-//     shared-budget check on all paths, and budget-exhaustion errors
-//     wrap fault.ErrRetryBudget via %w (CFG-based).
+//   - budgetflow: only (*Metrics).charge, which tests the shared
+//     budget, writes a recovery counter in sim, netcast and fault.
 //
 // The CFG/dataflow engine underneath the flow-sensitive analyzers lives
 // in cfg.go and dataflow.go: basic blocks built from go/ast, a generic

@@ -2,20 +2,14 @@ package analysis
 
 import (
 	"go/ast"
-	"go/constant"
 	"go/token"
 	"go/types"
-	"strings"
 )
 
 // BudgetPaths are the packages implementing the shared recovery budget
 // Retries+Restarts+Failovers+Reconnects ≤ MaxRetries: the analytic
 // twin, the TCP client, and the fault model that owns the sentinel.
-var BudgetPaths = []string{
-	"internal/sim",
-	"internal/netcast",
-	"internal/fault",
-}
+var BudgetPaths = []string{"internal/sim", "internal/netcast", "internal/fault"}
 
 // recoveryCounters are the Metrics fields charged against the shared
 // budget.
@@ -23,23 +17,15 @@ var recoveryCounters = map[string]bool{
 	"Retries": true, "Restarts": true, "Failovers": true, "Reconnects": true,
 }
 
-// BudgetFlow enforces the budget protocol flow-sensitively:
-//
-//  1. Every statement that increments a recovery counter (a
-//     Retries/Restarts/Failovers/Reconnects field of a Metrics value) must be
-//     followed by a budget check on every path to the function's
-//     return — an increment whose exhaustion test can be skipped is
-//     exactly the bug that lets a client retry forever.
-//  2. Every budget-exhaustion error must wrap fault.ErrRetryBudget
-//     through a %w verb, so errors.Is keeps working for callers that
-//     distinguish "out of budget" from transport failures.
-//
-// Test files are exempt: tests drive Metrics directly to pin
-// boundaries.
+// BudgetFlow keeps the shared budget true by construction: in non-test
+// files, only the body of internal/sim's (*Metrics).charge, which tests
+// the budget on every call, may write a recovery counter — by ++/--,
+// assignment, a Metrics literal, or taking its address. The float64
+// Summary aggregates are out of scope.
 var BudgetFlow = &Analyzer{
 	Name: "budgetflow",
-	Doc: "recovery-counter increments in internal/sim, internal/netcast, and internal/fault must be followed by a " +
-		"shared-budget check on every path, and budget errors must wrap fault.ErrRetryBudget via %w",
+	Doc: "in internal/sim, internal/netcast, and internal/fault, only (*Metrics).charge may write a recovery counter " +
+		"(Retries/Restarts/Failovers/Reconnects), so every recovery meets the shared-budget check",
 	Run: runBudgetFlow,
 }
 
@@ -47,255 +33,62 @@ func runBudgetFlow(pass *Pass) {
 	if !pathMatches(pass.Path, BudgetPaths) {
 		return
 	}
+	report := func(at ast.Node, name string) {
+		pass.Reportf(at.Pos(), "recovery counter %s is written outside (*Metrics).charge; charge it there so the shared budget is tested", name)
+	}
 	for _, f := range pass.Files {
 		if pass.IsTestFile(f) {
 			continue
 		}
-		for _, body := range funcBodies(f) {
-			checkBudgetFunc(pass, body)
-		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			if call, ok := n.(*ast.CallExpr); ok {
-				checkBudgetWrap(pass, call)
-			}
-			return true
-		})
-	}
-}
-
-func checkBudgetFunc(pass *Pass, body *ast.BlockStmt) {
-	g := pass.CFGOf(body)
-	reach := g.Reachable()
-	for _, bl := range g.Blocks {
-		if !reach[bl.Index] {
-			continue
-		}
-		for i, n := range bl.Nodes {
-			name, ok := recoveryIncrement(pass.Info, n)
-			if !ok {
+		for _, d := range f.Decls {
+			if fd, ok := d.(*ast.FuncDecl); ok && fd.Name.Name == "charge" && fd.Recv != nil && isSimMetrics(pass.Info.TypeOf(fd.Recv.List[0].Type)) {
 				continue
 			}
-			// Checked within the rest of this block?
-			checked := false
-			for _, rest := range bl.Nodes[i+1:] {
-				if containsBudgetCheck(pass.Info, rest) {
-					checked = true
-					break
+			ast.Inspect(d, func(n ast.Node) bool {
+				var written []ast.Expr
+				switch n := n.(type) {
+				case *ast.IncDecStmt:
+					written = []ast.Expr{n.X}
+				case *ast.AssignStmt:
+					written = n.Lhs
+				case *ast.UnaryExpr:
+					if n.Op == token.AND {
+						written = []ast.Expr{n.X}
+					}
+				case *ast.CompositeLit:
+					if t := pass.Info.TypeOf(n); isSimMetrics(t) {
+						st, _ := namedType(t).Underlying().(*types.Struct)
+						for i, e := range n.Elts {
+							name := st.Field(i).Name()
+							if kv, ok := e.(*ast.KeyValueExpr); ok {
+								name = kv.Key.(*ast.Ident).Name
+							}
+							if recoveryCounters[name] {
+								report(e, "Metrics."+name)
+							}
+						}
+					}
 				}
-			}
-			if checked {
-				continue
-			}
-			if pathEscapesBudgetCheck(pass, g, bl) {
-				pass.Reportf(n.Pos(), "recovery counter %s is incremented on a path that can return without a budget check; test Retries+Restarts+Failovers+Reconnects against the budget before continuing", name)
-			}
-		}
-	}
-}
-
-// recoveryIncrement matches m.Retries++ / m.Restarts += k / ... where
-// the field belongs to a Metrics type of an internal/sim package. The
-// type key excludes the float64 Summary aggregations, which weight
-// counters across trials and owe no budget check.
-func recoveryIncrement(info *types.Info, n ast.Node) (string, bool) {
-	var lhs ast.Expr
-	switch s := n.(type) {
-	case *ast.IncDecStmt:
-		if s.Tok == token.INC {
-			lhs = s.X
-		}
-	case *ast.AssignStmt:
-		if s.Tok == token.ADD_ASSIGN && len(s.Lhs) == 1 {
-			lhs = s.Lhs[0]
-		}
-	}
-	if lhs == nil {
-		return "", false
-	}
-	sel, ok := ast.Unparen(lhs).(*ast.SelectorExpr)
-	if !ok || !isMetricsRecoveryField(info, sel) {
-		return "", false
-	}
-	return types.ExprString(sel), true
-}
-
-func isMetricsRecoveryField(info *types.Info, sel *ast.SelectorExpr) bool {
-	if !recoveryCounters[sel.Sel.Name] {
-		return false
-	}
-	s, ok := info.Selections[sel]
-	if !ok || s.Kind() != types.FieldVal {
-		return false
-	}
-	recv := s.Recv()
-	return typeNameIs(recv, "Metrics") && pathMatches(declaredPkgPath(recv), []string{"internal/sim"})
-}
-
-// containsBudgetCheck reports whether n contains a comparison that
-// reads a recovery counter — the shared-budget test always compares the
-// counters (singly or summed) against the budget.
-func containsBudgetCheck(info *types.Info, n ast.Node) bool {
-	found := false
-	inspectShallow(n, func(m ast.Node) bool {
-		be, ok := m.(*ast.BinaryExpr)
-		if !ok || found {
-			return !found
-		}
-		switch be.Op {
-		case token.LSS, token.LEQ, token.GTR, token.GEQ, token.EQL, token.NEQ:
-		default:
-			return true
-		}
-		comparesCounter := false
-		for _, side := range []ast.Expr{be.X, be.Y} {
-			ast.Inspect(side, func(x ast.Node) bool {
-				if s, ok := x.(*ast.SelectorExpr); ok && isMetricsRecoveryField(info, s) {
-					comparesCounter = true
+				for _, e := range written {
+					if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok && isMetricsRecoveryField(pass.Info, sel) {
+						report(e, types.ExprString(sel))
+					}
 				}
-				return !comparesCounter
+				return true
 			})
 		}
-		if comparesCounter {
-			found = true
-		}
-		return !found
-	})
-	return found
-}
-
-// pathEscapesBudgetCheck reports whether some path from the end of
-// start reaches the exit without passing through a block that performs
-// a budget check.
-func pathEscapesBudgetCheck(pass *Pass, g *CFG, start *Block) bool {
-	seen := make([]bool, len(g.Blocks))
-	var dfs func(*Block) bool
-	dfs = func(bl *Block) bool {
-		if bl == g.Exit {
-			return true
-		}
-		if seen[bl.Index] {
-			return false
-		}
-		seen[bl.Index] = true
-		for _, n := range bl.Nodes {
-			if containsBudgetCheck(pass.Info, n) {
-				return false // this path is guarded from here on
-			}
-		}
-		for _, s := range bl.Succs {
-			if dfs(s) {
-				return true
-			}
-		}
-		return false
-	}
-	for _, s := range start.Succs {
-		if dfs(s) {
-			return true
-		}
-	}
-	return false
-}
-
-// checkBudgetWrap flags fmt.Errorf calls that mention ErrRetryBudget
-// without binding it to a %w verb.
-func checkBudgetWrap(pass *Pass, call *ast.CallExpr) {
-	f := calleeFunc(pass.Info, call)
-	if f == nil || funcPkgPath(f) != "fmt" || f.Name() != "Errorf" || len(call.Args) < 2 {
-		return
-	}
-	argIdx := -1
-	for i, arg := range call.Args[1:] {
-		var id *ast.Ident
-		switch e := ast.Unparen(arg).(type) {
-		case *ast.Ident:
-			id = e
-		case *ast.SelectorExpr: // fault.ErrRetryBudget
-			id = e.Sel
-		}
-		if id == nil {
-			continue
-		}
-		if obj := pass.Info.Uses[id]; obj != nil && obj.Name() == "ErrRetryBudget" && isErrorType(obj.Type()) {
-			argIdx = i
-			break
-		}
-	}
-	if argIdx < 0 {
-		return
-	}
-	tv, ok := pass.Info.Types[call.Args[0]]
-	if !ok || tv.Value == nil || tv.Value.Kind() != constant.String {
-		return
-	}
-	if verbForArg(constant.StringVal(tv.Value), argIdx) != 'w' {
-		pass.Reportf(call.Pos(), "ErrRetryBudget is formatted without %%w; wrap it (fmt.Errorf(\"...: %%w\", fault.ErrRetryBudget)) so errors.Is keeps working")
 	}
 }
 
-// verbForArg returns the fmt verb consuming operand argIdx (0-based),
-// or 0 when the format runs out of verbs first. Width/precision stars
-// consume operands; explicit argument indexes [n] are honored.
-func verbForArg(format string, argIdx int) byte {
-	next := 0
-	i := 0
-	for i < len(format) {
-		if format[i] != '%' {
-			i++
-			continue
-		}
-		i++
-		if i < len(format) && format[i] == '%' {
-			i++
-			continue
-		}
-		// flags
-		for i < len(format) && strings.IndexByte("+-# 0", format[i]) >= 0 {
-			i++
-		}
-		// width (possibly *)
-		if i < len(format) && format[i] == '*' {
-			next++
-			i++
-		} else {
-			for i < len(format) && format[i] >= '0' && format[i] <= '9' {
-				i++
-			}
-		}
-		// precision
-		if i < len(format) && format[i] == '.' {
-			i++
-			if i < len(format) && format[i] == '*' {
-				next++
-				i++
-			} else {
-				for i < len(format) && format[i] >= '0' && format[i] <= '9' {
-					i++
-				}
-			}
-		}
-		// explicit argument index
-		if i < len(format) && format[i] == '[' {
-			j := i + 1
-			n := 0
-			for j < len(format) && format[j] >= '0' && format[j] <= '9' {
-				n = n*10 + int(format[j]-'0')
-				j++
-			}
-			if j < len(format) && format[j] == ']' {
-				next = n - 1
-				i = j + 1
-			}
-		}
-		if i >= len(format) {
-			return 0
-		}
-		verb := format[i]
-		i++
-		if next == argIdx {
-			return verb
-		}
-		next++
-	}
-	return 0
+// isMetricsRecoveryField matches a Retries/Restarts/Failovers/Reconnects
+// field selected on internal/sim's Metrics, not on the float64 Summary.
+func isMetricsRecoveryField(info *types.Info, sel *ast.SelectorExpr) bool {
+	s, ok := info.Selections[sel]
+	return recoveryCounters[sel.Sel.Name] && ok && s.Kind() == types.FieldVal && isSimMetrics(s.Recv())
+}
+
+// isSimMetrics reports whether t, pointers stripped, is internal/sim's
+// Metrics.
+func isSimMetrics(t types.Type) bool {
+	return typeNameIs(t, "Metrics") && pathMatches(declaredPkgPath(t), []string{"internal/sim"})
 }

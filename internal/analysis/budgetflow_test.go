@@ -2,10 +2,10 @@ package analysis
 
 import "testing"
 
-func TestBudgetFlowFiresOnUncheckedIncrementsAndUnwrappedSentinel(t *testing.T) {
+func TestBudgetFlowFiresOnWritesOutsideCharge(t *testing.T) {
 	RunFixture(t, BudgetFlow, "fix/internal/sim/bad", "testdata/src/budgetflow/bad")
 }
 
-func TestBudgetFlowSilentOnCheckedPathsAndAggregates(t *testing.T) {
+func TestBudgetFlowSilentInChargeAndAggregates(t *testing.T) {
 	RunFixture(t, BudgetFlow, "fix/internal/sim/good", "testdata/src/budgetflow/good")
 }

@@ -2,19 +2,24 @@ package analysis
 
 import (
 	"go/ast"
+	"go/constant"
 	"go/token"
 	"go/types"
+	"strings"
+	"unicode/utf8"
 )
 
 // ErrSentinel forbids identity and string comparison of sentinel errors
 // — fault.ErrRetryBudget, topo/datatree.ErrExpansionLimit, and friends
 // travel wrapped (%w), so == misses them and errors.Is is the only
-// comparison that stays correct. Test files are checked too: tests are
-// where sentinel comparisons concentrate.
+// comparison that stays correct. The other half of that contract: a
+// sentinel handed to fmt.Errorf must be wrapped by a %w verb, or
+// errors.Is stops matching at that wrap. Test files are checked too:
+// tests are where sentinel comparisons concentrate.
 var ErrSentinel = &Analyzer{
 	Name: "errsentinel",
 	Doc: "sentinel errors must be tested with errors.Is, never with ==/!=, switch, err.Error() text, or " +
-		"strings matching",
+		"strings matching, and fmt.Errorf must wrap them with %w",
 	Run: runErrSentinel,
 }
 
@@ -30,6 +35,7 @@ func runErrSentinel(pass *Pass) {
 				checkErrSwitch(pass, n)
 			case *ast.CallExpr:
 				checkErrStringMatch(pass, n)
+				checkSentinelWrap(pass, n)
 			}
 			return true
 		})
@@ -132,4 +138,142 @@ func checkErrStringMatch(pass *Pass, n *ast.CallExpr) {
 			return
 		}
 	}
+}
+
+// checkSentinelWrap flags a sentinel passed to fmt.Errorf that no %w
+// verb wraps.
+func checkSentinelWrap(pass *Pass, call *ast.CallExpr) {
+	f := calleeFunc(pass.Info, call)
+	if f == nil || funcPkgPath(f) != "fmt" || f.Name() != "Errorf" || len(call.Args) < 2 || call.Ellipsis.IsValid() {
+		return
+	}
+	tv, ok := pass.Info.Types[call.Args[0]]
+	if !ok || tv.Value == nil || tv.Value.Kind() != constant.String {
+		return
+	}
+	format, operands := constant.StringVal(tv.Value), call.Args[1:]
+	for i, arg := range operands {
+		if v := sentinelVar(pass.Info, arg); v != nil && verbForArg(format, len(operands), i) != 'w' {
+			pass.Reportf(arg.Pos(), "sentinel %s is formatted without %%w; wrap it (fmt.Errorf(\"...: %%w\", %s)) so errors.Is keeps working", v.Name(), v.Name())
+		}
+	}
+}
+
+// verbForArg returns the verb fmt.Errorf(format, ...) gives operand
+// argIdx of nargs: 'w' when a %w verb wraps it, otherwise the first verb
+// that formats it, or 0 when none does. It follows fmt's own parse: a
+// % verb formats nothing, even with flags or a width ("%-5%"), a * width
+// or precision consumes an operand without formatting it, an explicit index [n] moves the operand cursor, and a
+// verb whose index is bad or whose operand is missing formats nothing.
+func verbForArg(format string, nargs, argIdx int) rune {
+	var first rune
+	argNum, end := 0, len(format)
+	for i := 0; i < end; {
+		if format[i] != '%' {
+			i++
+			continue
+		}
+		i++
+		for i < end && strings.IndexByte("#0+- ", format[i]) >= 0 {
+			i++
+		}
+		good, afterIndex := true, false
+		index := func() {
+			var ok bool
+			argNum, i, afterIndex, ok = fmtArgIndex(format, i, argNum, nargs)
+			good = good && ok
+		}
+		star := func() bool {
+			if i < end && format[i] == '*' {
+				i++
+				if argNum < nargs {
+					argNum++
+				}
+				afterIndex = false
+				return true
+			}
+			return false
+		}
+		index()
+		if !star() {
+			var wid bool
+			_, wid, i = fmtNum(format, i, end)
+			if afterIndex && wid { // "%[3]2d"
+				good = false
+			}
+		}
+		if i+1 < end && format[i] == '.' {
+			i++
+			if afterIndex { // "%[3].2d"
+				good = false
+			}
+			index()
+			if !star() {
+				_, _, i = fmtNum(format, i, end)
+			}
+		}
+		if !afterIndex {
+			index()
+		}
+		if i >= end {
+			break
+		}
+		verb, size := utf8.DecodeRuneInString(format[i:])
+		i += size
+		if verb == '%' || !good || argNum >= nargs {
+			continue
+		}
+		if argNum == argIdx {
+			if verb == 'w' {
+				return 'w'
+			}
+			if first == 0 {
+				first = verb
+			}
+		}
+		argNum++
+	}
+	return first
+}
+
+// fmtArgIndex parses an explicit operand index [n] at format[i] the way
+// fmt does. It returns the operand cursor, the position after the index,
+// whether an index was found, and false when the index is malformed or
+// out of range (the verb then formats nothing).
+func fmtArgIndex(format string, i, argNum, nargs int) (int, int, bool, bool) {
+	if i >= len(format) || format[i] != '[' {
+		return argNum, i, false, true
+	}
+	if len(format)-i < 3 {
+		return argNum, i + 1, false, false
+	}
+	for j := i + 1; j < len(format); j++ {
+		if format[j] == ']' {
+			n, ok, next := fmtNum(format, i+1, j)
+			if !ok || next != j {
+				return argNum, j + 1, false, false
+			}
+			if n < 1 || n > nargs {
+				return argNum, j + 1, true, false
+			}
+			return n - 1, j + 1, true, true
+		}
+	}
+	return argNum, i + 1, false, false
+}
+
+// fmtNum parses a decimal number in s[start:end] as fmt's parsenum does,
+// giving up on (and skipping to end past) numbers above a million.
+func fmtNum(s string, start, end int) (num int, isnum bool, next int) {
+	if start >= end {
+		return 0, false, end
+	}
+	for next = start; next < end && '0' <= s[next] && s[next] <= '9'; next++ {
+		if num > 1e6 {
+			return 0, false, end
+		}
+		num = num*10 + int(s[next]-'0')
+		isnum = true
+	}
+	return num, isnum, next
 }

@@ -1,6 +1,6 @@
-// Package good follows the budget protocol: every increment is
-// followed on all paths by the shared-budget comparison, and every
-// exhaustion error wraps the sentinel via %w.
+// Package good writes recovery counters only in (*Metrics).charge,
+// which tests the shared budget on every call; everything else reads
+// them or weights them into float64 Summary aggregates.
 package good
 
 import (
@@ -11,52 +11,40 @@ import (
 var ErrRetryBudget = errors.New("retry budget exhausted")
 
 type Metrics struct {
-	Retries   int
-	Restarts  int
-	Failovers int
+	ProbeWait  int
+	Retries    int
+	Restarts   int
+	Failovers  int
+	Reconnects int
 }
 
 // Summary mirrors sim.Summary: float64 aggregates of per-trial
-// metrics. Weighting counters into a summary owes no budget check.
+// metrics. Weighting counters into a summary charges nothing.
 type Summary struct {
-	Retries   float64
-	Restarts  float64
-	Failovers float64
+	Retries    float64
+	Restarts   float64
+	Failovers  float64
+	Reconnects float64
 }
 
-func CheckedRetry(m *Metrics, budget int) error {
-	m.Retries++
-	if m.Retries+m.Restarts+m.Failovers > budget {
-		return fmt.Errorf("tune failed after %d retries: %w", m.Retries, ErrRetryBudget)
-	}
-	return nil
-}
-
-// CheckedInLoop mirrors the client retry loop: the increment and the
-// exhaustion test sit in the same iteration.
-func CheckedInLoop(m *Metrics, budget, rounds int) error {
-	for i := 0; i < rounds; i++ {
+// charge is the one writer, so every recovery meets the budget test.
+func (m *Metrics) charge(restart bool, budget int) error {
+	if restart {
 		m.Restarts++
-		if m.Restarts > budget {
-			return fmt.Errorf("restart storm: %w", ErrRetryBudget)
-		}
+	} else {
+		m.Retries += 1
+	}
+	if m.Retries+m.Restarts+m.Failovers+m.Reconnects > budget {
+		return fmt.Errorf("after %d retries: %w", m.Retries, ErrRetryBudget)
 	}
 	return nil
 }
 
-// CheckedOnBothArms increments once and checks on every outgoing path.
-func CheckedOnBothArms(m *Metrics, budget int, fast bool) error {
-	m.Failovers++
-	if fast {
-		if m.Failovers > budget {
-			return ErrRetryBudget
-		}
-		return nil
-	}
-	if m.Failovers >= budget {
-		return fmt.Errorf("failover cascade: %w", ErrRetryBudget)
-	}
-	return nil
+// Reset clears the whole value and sets fields that are not counters.
+func Reset(m *Metrics) Metrics {
+	*m = Metrics{}
+	m.ProbeWait = 3
+	return Metrics{ProbeWait: m.Retries + m.Restarts}
 }
 
 // Aggregate weights trial metrics into a summary; these float64
@@ -65,4 +53,6 @@ func Aggregate(s *Summary, m *Metrics, w float64) {
 	s.Retries += w * float64(m.Retries)
 	s.Restarts += w * float64(m.Restarts)
 	s.Failovers += w * float64(m.Failovers)
+	s.Reconnects += w * float64(m.Reconnects)
+	_ = &s.Retries
 }

@@ -5,6 +5,7 @@ package good
 import (
 	"errors"
 	"fmt"
+	"io"
 )
 
 var ErrBudget = errors.New("retry budget exhausted")
@@ -23,6 +24,19 @@ func NilCheckEq(err error) bool {
 
 func Wrap(limit int) error {
 	return fmt.Errorf("%w (limit %d)", ErrBudget, limit)
+}
+
+// WrapAnyWay wraps through explicit indexes, after a * width, next to
+// %%, and twice in one call; a non-sentinel error may use any verb.
+func WrapAnyWay(limit int, err error) []error {
+	local := errors.New("local")
+	return []error{
+		fmt.Errorf("%[2]d: %[1]w", ErrBudget, limit),
+		fmt.Errorf("%*d%% %w", limit, limit, ErrBudget),
+		fmt.Errorf("%[1]v is %[1]w", ErrBudget),
+		fmt.Errorf("%w, %w", ErrBudget, io.EOF),
+		fmt.Errorf("%v %v", err, local),
+	}
 }
 
 func LocalCompare() bool {

@@ -460,6 +460,7 @@ func SequentialBaseline(p *sim.Program, arrival int, targets []tree.ID, pw sim.P
 		agg.Retries += m.Retries
 		agg.Restarts += m.Restarts
 		agg.Failovers += m.Failovers
+		agg.Reconnects += m.Reconnects
 		agg.Energy += m.Energy
 		at += m.AccessTime
 	}

@@ -3,6 +3,7 @@ package retrieval
 import (
 	"errors"
 	"reflect"
+	"sort"
 	"testing"
 
 	"repro/internal/alphatree"
@@ -131,6 +132,69 @@ func TestGreedyNeverWorseThanSequential(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestSequentialBaselineSumsEveryCounter holds the baseline to its
+// legs: under a crash schedule and a lossy channel, every Metrics field
+// equals the hand-summed single-key queries run back to back.
+func TestSequentialBaselineSumsEveryCounter(t *testing.T) {
+	p := program(t, 12, 2, 4)
+	targets := pickTargets(p, 3, 4)
+	legs := append([]tree.ID(nil), targets...)
+	sort.Slice(legs, func(i, j int) bool {
+		wi, wj := p.Tree().Weight(legs[i]), p.Tree().Weight(legs[j])
+		return wi > wj || wi == wj && legs[i] < legs[j]
+	})
+	fcs := map[string]sim.FaultConfig{
+		"downtime": {
+			Downtimes: fault.Downtimes{{StartSlot: 2, EndSlot: 6}},
+			Backoff:   fault.Backoff{Seed: 6, Base: 1, Cap: 4},
+		},
+		"downtime+lossy": {
+			Model:     fault.Model{Seed: 9, Drop: 0.2, Corrupt: 0.05},
+			Downtimes: fault.Downtimes{{StartSlot: 2, EndSlot: 6}},
+			Backoff:   fault.Backoff{Seed: 6, Base: 1, Cap: 4},
+		},
+	}
+	for name, fc := range fcs {
+		var reconnects, retries int
+		for arrival := 0; arrival < 12; arrival++ {
+			var want sim.Metrics
+			at := arrival
+			for i, id := range legs {
+				m, err := p.QueryFaulty(at, id, testPower, fc)
+				if err != nil {
+					t.Fatalf("%s arrival %d leg %d: %v", name, arrival, i, err)
+				}
+				if i == 0 {
+					want.ProbeWait = m.ProbeWait
+				}
+				want.AccessTime += m.AccessTime
+				want.TuningTime += m.TuningTime
+				want.Retries += m.Retries
+				want.Restarts += m.Restarts
+				want.Failovers += m.Failovers
+				want.Reconnects += m.Reconnects
+				want.Conflicts += m.Conflicts
+				want.ExtraCycles += m.ExtraCycles
+				want.Energy += m.Energy
+				at += m.AccessTime
+			}
+			want.DataWait = want.AccessTime - want.ProbeWait
+			got, err := SequentialBaseline(p, arrival, targets, testPower, fc)
+			if err != nil {
+				t.Fatalf("%s arrival %d: %v", name, arrival, err)
+			}
+			if got != want {
+				t.Errorf("%s arrival %d: baseline %+v, legs sum to %+v", name, arrival, got, want)
+			}
+			reconnects += want.Reconnects
+			retries += want.Retries
+		}
+		if reconnects == 0 || (fc.Model.Enabled() && retries == 0) {
+			t.Errorf("%s: legs charged %d reconnects and %d retries; the schedule exercises nothing", name, reconnects, retries)
 		}
 	}
 }

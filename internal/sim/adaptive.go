@@ -132,46 +132,65 @@ type Demand struct {
 // against the demand. All averages are exact sums, not samples.
 func EvaluateAdaptive(tl *Timeline, lo, hi int, demand []Demand, pw Power, fc FaultConfig) (Summary, float64, error) {
 	var s Summary
+	var hits float64
+	phases := float64(hi - lo)
+	err := eachLookup(tl, lo, hi, demand, pw, fc, func(w float64, m Metrics, found bool, err error) error {
+		if err != nil {
+			return err
+		}
+		s.ProbeWait += w * float64(m.ProbeWait) / phases
+		s.DataWait += w * float64(m.DataWait) / phases
+		s.AccessTime += w * float64(m.AccessTime) / phases
+		s.TuningTime += w * float64(m.TuningTime) / phases
+		s.Retries += w * float64(m.Retries) / phases
+		s.Restarts += w * float64(m.Restarts) / phases
+		s.Failovers += w * float64(m.Failovers) / phases
+		s.Reconnects += w * float64(m.Reconnects) / phases
+		s.Energy += w * m.Energy / phases
+		if found {
+			hits += w / phases
+		}
+		return nil
+	})
+	if err != nil {
+		return s, 0, err
+	}
+	return s, hits, nil
+}
+
+// eachLookup is the arrival window loop of EvaluateAdaptive and
+// EvaluateReport. It validates the window [lo, hi) and the demand, then
+// looks up every demanded key at every arrival in the window on one
+// twin of the timeline under env, and hands visit the key's share of
+// the demand with the outcome. An error from visit ends the loop,
+// tagged with the key and arrival.
+func eachLookup(tl *Timeline, lo, hi int, demand []Demand, pw Power, env FaultConfig, visit func(w float64, m Metrics, found bool, err error) error) error {
 	if lo < 0 || hi <= lo {
-		return s, 0, fmt.Errorf("sim: bad arrival window [%d, %d)", lo, hi)
+		return fmt.Errorf("sim: bad arrival window [%d, %d)", lo, hi)
 	}
 	var total float64
 	for _, d := range demand {
 		if d.Weight < 0 {
-			return s, 0, fmt.Errorf("sim: negative weight %v for key %d", d.Weight, d.Key)
+			return fmt.Errorf("sim: negative weight %v for key %d", d.Weight, d.Key)
 		}
 		total += d.Weight
 	}
 	if total == 0 {
-		return s, 0, fmt.Errorf("sim: zero total demand")
+		return fmt.Errorf("sim: zero total demand")
 	}
 	tw := twins.Get().(*twin)
 	defer twins.Put(tw)
-	if err := tw.open(*tl, fc, false); err != nil {
-		return s, 0, err
+	if err := tw.open(*tl, env, false); err != nil {
+		return err
 	}
-	phases := float64(hi - lo)
-	var hits float64
 	for _, d := range demand {
 		w := d.Weight / total
 		for a := lo; a < hi; a++ {
 			m, found, err := tw.lookup(a, d.Key, pw)
-			if err != nil {
-				return s, 0, fmt.Errorf("sim: key %d arrival %d: %w", d.Key, a, err)
-			}
-			s.ProbeWait += w * float64(m.ProbeWait) / phases
-			s.DataWait += w * float64(m.DataWait) / phases
-			s.AccessTime += w * float64(m.AccessTime) / phases
-			s.TuningTime += w * float64(m.TuningTime) / phases
-			s.Retries += w * float64(m.Retries) / phases
-			s.Restarts += w * float64(m.Restarts) / phases
-			s.Failovers += w * float64(m.Failovers) / phases
-			s.Reconnects += w * float64(m.Reconnects) / phases
-			s.Energy += w * m.Energy / phases
-			if found {
-				hits += w / phases
+			if err := visit(w, m, found, err); err != nil {
+				return fmt.Errorf("sim: key %d arrival %d: %w", d.Key, a, err)
 			}
 		}
 	}
-	return s, hits, nil
+	return nil
 }

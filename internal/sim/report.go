@@ -2,7 +2,6 @@ package sim
 
 import (
 	"errors"
-	"fmt"
 
 	"repro/internal/fault"
 )
@@ -34,51 +33,34 @@ type Report struct {
 // against Availability.
 func EvaluateReport(tl *Timeline, lo, hi int, demand []Demand, pw Power, env FaultConfig) (Report, error) {
 	var r Report
-	if lo < 0 || hi <= lo {
-		return r, fmt.Errorf("sim: bad arrival window [%d, %d)", lo, hi)
-	}
-	var total float64
-	for _, d := range demand {
-		if d.Weight < 0 {
-			return r, fmt.Errorf("sim: negative weight %v for key %d", d.Weight, d.Key)
-		}
-		total += d.Weight
-	}
-	if total == 0 {
-		return r, fmt.Errorf("sim: zero total demand")
-	}
-	w := twins.Get().(*twin)
-	defer twins.Put(w)
-	if err := w.open(*tl, env, false); err != nil {
-		return r, err
-	}
-	phases := float64(hi - lo)
 	var completed, failed, hits float64
-	for _, d := range demand {
-		u := d.Weight / total / phases
-		for a := lo; a < hi; a++ {
-			m, found, err := w.lookup(a, d.Key, pw)
-			if errors.Is(err, fault.ErrRetryBudget) {
-				failed += u
-				continue
-			}
-			if err != nil {
-				return r, fmt.Errorf("sim: key %d arrival %d: %w", d.Key, a, err)
-			}
-			completed += u
-			r.Summary.ProbeWait += u * float64(m.ProbeWait)
-			r.Summary.DataWait += u * float64(m.DataWait)
-			r.Summary.AccessTime += u * float64(m.AccessTime)
-			r.Summary.TuningTime += u * float64(m.TuningTime)
-			r.Summary.Retries += u * float64(m.Retries)
-			r.Summary.Restarts += u * float64(m.Restarts)
-			r.Summary.Failovers += u * float64(m.Failovers)
-			r.Summary.Reconnects += u * float64(m.Reconnects)
-			r.Summary.Energy += u * m.Energy
-			if found {
-				hits += u
-			}
+	phases := float64(hi - lo)
+	err := eachLookup(tl, lo, hi, demand, pw, env, func(w float64, m Metrics, found bool, err error) error {
+		u := w / phases
+		if errors.Is(err, fault.ErrRetryBudget) {
+			failed += u
+			return nil
 		}
+		if err != nil {
+			return err
+		}
+		completed += u
+		r.Summary.ProbeWait += u * float64(m.ProbeWait)
+		r.Summary.DataWait += u * float64(m.DataWait)
+		r.Summary.AccessTime += u * float64(m.AccessTime)
+		r.Summary.TuningTime += u * float64(m.TuningTime)
+		r.Summary.Retries += u * float64(m.Retries)
+		r.Summary.Restarts += u * float64(m.Restarts)
+		r.Summary.Failovers += u * float64(m.Failovers)
+		r.Summary.Reconnects += u * float64(m.Reconnects)
+		r.Summary.Energy += u * m.Energy
+		if found {
+			hits += u
+		}
+		return nil
+	})
+	if err != nil {
+		return r, err
 	}
 	r.Availability = completed / (completed + failed)
 	if completed > 0 {

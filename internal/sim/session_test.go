@@ -2,8 +2,10 @@ package sim
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
+	"repro/internal/fault"
 	"repro/internal/tree"
 )
 
@@ -97,5 +99,53 @@ func TestSessionTransportErrorEndsSession(t *testing.T) {
 	}
 	if m != (Metrics{}) {
 		t.Fatalf("metrics %+v, want nothing spent", m)
+	}
+}
+
+// TestChargeBudgetBoundary drives the one budget site directly with the
+// four recovery classes interleaved: every charge up to the budget
+// passes, and the next fails with fault.ErrRetryBudget, leaving the
+// counters equal to the charges made and naming the class that
+// overflowed. Each class in turn is the one that overflows.
+func TestChargeBudgetBoundary(t *testing.T) {
+	classes := []Recovery{Retry, Restart, Failover, Reconnect}
+	nouns := map[Recovery]string{
+		Retry:     "redundant wake-ups",
+		Restart:   "descent restarts",
+		Failover:  "channel failovers",
+		Reconnect: "reconnect attempts",
+	}
+	for _, budget := range []int{0, 1, 5} {
+		for first := range classes {
+			var m, want Metrics
+			count := map[Recovery]*int{
+				Retry: &want.Retries, Restart: &want.Restarts,
+				Failover: &want.Failovers, Reconnect: &want.Reconnects,
+			}
+			for i := 0; i <= budget; i++ {
+				r := classes[(first+i)%len(classes)]
+				ch, slot := 1+i%3, 7*i
+				err := m.charge(r, budget, ch, slot)
+				*count[r]++
+				if m != want {
+					t.Fatalf("budget %d, charge %d (%s): metrics %+v, want %+v", budget, i, nouns[r], m, want)
+				}
+				if i < budget {
+					if err != nil {
+						t.Fatalf("budget %d, charge %d (%s) within budget: %v", budget, i, nouns[r], err)
+					}
+					continue
+				}
+				if !errors.Is(err, fault.ErrRetryBudget) {
+					t.Fatalf("budget %d, charge %d (%s) over budget: err = %v, want ErrRetryBudget", budget, i, nouns[r], err)
+				}
+				// The text is part of the contract here: it must name the
+				// class and how many of it were spent before the overflow.
+				msg := fmt.Sprintf("sim: channel %d slot %d: %v after %d %s", ch, slot, fault.ErrRetryBudget, *count[r]-1, nouns[r])
+				if got := fmt.Sprint(err); got != msg {
+					t.Errorf("budget %d: message %q, want %q", budget, got, msg)
+				}
+			}
+		}
 	}
 }
