@@ -1,6 +1,7 @@
 package main
 
 import (
+	"flag"
 	"os"
 	"path/filepath"
 	"strings"
@@ -107,5 +108,50 @@ func TestOptimizeErrors(t *testing.T) {
 	}
 	if err := run(fig1File(t), 0, "auto", 12, false, false, false, &strings.Builder{}); err == nil {
 		t.Fatal("want error for k=0")
+	}
+}
+
+var update = flag.Bool("update", false, "rewrite the golden files under testdata")
+
+// TestShowTreeGoldens pins the full -show-tree and -show-datatree output
+// on the paper's Fig. 1 tree byte for byte: the allocation header, the
+// channel grid and every node of the rendered search tree (the structures
+// of Figs. 6, 10 and 12). Regenerate with
+// go test ./cmd/bcast-opt -run TestShowTreeGoldens -update only when a
+// change to the search trees is intended.
+func TestShowTreeGoldens(t *testing.T) {
+	path := fig1File(t)
+	for _, tc := range []struct {
+		name               string
+		k                  int
+		showTree, showData bool
+	}{
+		{"fig1_show_tree_k2", 2, true, false},
+		{"fig1_show_tree_k1", 1, true, false},
+		{"fig1_show_datatree_k1", 1, false, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var sb strings.Builder
+			if err := run(path, tc.k, "auto", 12, false, tc.showTree, tc.showData, &sb); err != nil {
+				t.Fatal(err)
+			}
+			golden := filepath.Join("testdata", tc.name+".golden")
+			if *update {
+				if err := os.MkdirAll("testdata", 0o755); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(golden, []byte(sb.String()), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+			want, err := os.ReadFile(golden)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sb.String() != string(want) {
+				t.Errorf("output differs from %s:\n got:\n%s\nwant:\n%s", golden, sb.String(), want)
+			}
+		})
 	}
 }

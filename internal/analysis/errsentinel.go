@@ -10,7 +10,7 @@ import (
 )
 
 // ErrSentinel forbids identity and string comparison of sentinel errors
-// — fault.ErrRetryBudget, topo/datatree.ErrExpansionLimit, and friends
+// — fault.ErrRetryBudget, bestfirst.ErrExpansionLimit, and friends
 // travel wrapped (%w), so == misses them and errors.Is is the only
 // comparison that stays correct. The other half of that contract: a
 // sentinel handed to fmt.Errorf must be wrapped by a %w verb, or

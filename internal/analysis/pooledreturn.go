@@ -120,7 +120,9 @@ func checkPoolFunc(pass *Pass, fd *ast.FuncDecl) {
 			}
 		case *ast.ReturnStmt:
 			for _, res := range n.Results {
-				if id := rootIdent(res); id != nil {
+				// Only the variable itself escapes: `return s.v` and
+				// `return s.get()` hand out a value derived from s, not s.
+				if id, ok := ast.Unparen(res).(*ast.Ident); ok {
 					if obj := pass.Info.Uses[id]; obj != nil {
 						returned[obj] = true
 					}

@@ -17,6 +17,22 @@ func Leak() int {
 
 type state struct{ v int }
 
+func (s *state) get() int { return s.v }
+
+// LeakField returns a field of the pooled value, not the value: nothing
+// hands the state back or passes its ownership on.
+func LeakField(p *pool.Pool[*state]) int {
+	s := p.Get() // want `p\.Get has no matching p\.Put`
+	return s.v
+}
+
+// LeakMethod returns what a method of the pooled value computes; the
+// value itself is dropped on the floor.
+func LeakMethod(p *pool.Pool[*state]) int {
+	s := p.Get() // want `p\.Get has no matching p\.Put`
+	return s.get()
+}
+
 func UseAfterPut(p *pool.Pool[*state]) int {
 	s := p.Get()
 	p.Put(s)

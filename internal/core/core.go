@@ -11,6 +11,7 @@ import (
 	"fmt"
 
 	"repro/internal/alloc"
+	"repro/internal/bestfirst"
 	"repro/internal/datatree"
 	"repro/internal/heuristic"
 	"repro/internal/searchstats"
@@ -261,8 +262,7 @@ func solveExact(t *tree.Tree, cfg Config) (*Solution, error) {
 // Any other error — and any error with the fallback disabled — passes
 // through unchanged.
 func fallbackOnLimit(t *tree.Tree, cfg Config, err error) (*Solution, error) {
-	if !cfg.FallbackOnLimit ||
-		!(errors.Is(err, topo.ErrExpansionLimit) || errors.Is(err, datatree.ErrExpansionLimit)) {
+	if !cfg.FallbackOnLimit || !errors.Is(err, bestfirst.ErrExpansionLimit) {
 		return nil, err
 	}
 	a, herr := heuristic.AllocateSorted(t, cfg.Channels)

@@ -350,9 +350,13 @@ func TestFallbackOffStillErrors(t *testing.T) {
 	if !errors.Is(err, datatree.ErrExpansionLimit) {
 		t.Fatalf("want wrapped datatree limit error, got %v", err)
 	}
-	_, err = Solve(tr, Config{Channels: 2, Strategy: PrunedSearch, MaxExpanded: 1})
-	if !errors.Is(err, topo.ErrExpansionLimit) {
-		t.Fatalf("want wrapped topo limit error, got %v", err)
+	_, err2 := Solve(tr, Config{Channels: 2, Strategy: PrunedSearch, MaxExpanded: 1})
+	if !errors.Is(err2, topo.ErrExpansionLimit) {
+		t.Fatalf("want wrapped topo limit error, got %v", err2)
+	}
+	// Both searches run on one engine and share its sentinel.
+	if !errors.Is(err, topo.ErrExpansionLimit) || !errors.Is(err2, datatree.ErrExpansionLimit) {
+		t.Fatalf("limit sentinels differ: %v / %v", err, err2)
 	}
 	// A clean solve with the flag set records no limit error.
 	sol, err := Solve(tr, Config{Channels: 1, Strategy: Exact, FallbackOnLimit: true})

@@ -20,22 +20,21 @@
 package datatree
 
 import (
-	"errors"
 	"fmt"
 	"math/big"
 
 	"repro/internal/alloc"
+	"repro/internal/bestfirst"
 	"repro/internal/bitset"
-	"repro/internal/pool"
-	"repro/internal/pqueue"
 	"repro/internal/searchstats"
 	"repro/internal/tree"
 )
 
 // ErrExpansionLimit is the sentinel wrapped by Search when it aborts
 // after Options.MaxExpanded expansions; callers detect it with errors.Is
-// to fall back to a heuristic instead of failing outright.
-var ErrExpansionLimit = errors.New("datatree: expansion limit exceeded")
+// to fall back to a heuristic instead of failing outright. It is the
+// engine's sentinel, shared with the topological-tree search.
+var ErrExpansionLimit = bestfirst.ErrExpansionLimit
 
 // Options selects the data-tree pruning rules.
 type Options struct {
@@ -75,9 +74,9 @@ type Result struct {
 	Stats searchstats.Stats
 }
 
-// ctx holds per-run immutable context plus the scratch buffers Search
-// reuses (EnumeratePaths keeps per-depth buffers of its own because its
-// recursion holds candidate lists across nested generations).
+// ctx holds per-run immutable context. It is the data tree as a
+// bestfirst.Space; the successor step keeps no scratch, so a walk may
+// generate a child's children while its parent's generation runs.
 type ctx struct {
 	t        *tree.Tree
 	opt      Options
@@ -85,12 +84,10 @@ type ctx struct {
 	dataIDs  []tree.ID
 	dataDesc []tree.ID
 	indexSet bitset.Set
-	anc      []bitset.Set // ancestor set per node ID
-	ancList  [][]tree.ID  // ancestors root-down per node ID
+	ancList  [][]tree.ID // ancestors root-down per node ID
+	heavier  [][]tree.ID // per data node, its strictly heavier same-parent data siblings
 
 	stats *searchstats.Stats // counters of the running search (nil outside Search)
-
-	candBuf []tree.ID
 }
 
 func newCtx(t *tree.Tree, opt Options) *ctx {
@@ -101,18 +98,57 @@ func newCtx(t *tree.Tree, opt Options) *ctx {
 	for _, id := range t.IndexIDs() {
 		c.indexSet.Add(int(id))
 	}
-	c.anc = make([]bitset.Set, c.n)
+	// Both per-node lists share one backing array each, sized up front so
+	// it never regrows, and filled in preorder so a parent's ancestor list
+	// exists before its children's. A parent with m data children gives
+	// them at most m·(m−1) heavier-sibling entries.
 	c.ancList = make([][]tree.ID, c.n)
+	c.heavier = make([][]tree.ID, c.n)
+	nanc, nsib := 0, 0
 	for i := 0; i < c.n; i++ {
-		c.anc[i] = t.AncestorSet(tree.ID(i))
-		c.ancList[i] = t.Ancestors(tree.ID(i))
+		nanc += t.Level(tree.ID(i)) - 1
+		m := 0
+		for _, ch := range t.Children(tree.ID(i)) {
+			if t.IsData(ch) {
+				m++
+			}
+		}
+		nsib += m * (m - 1)
+	}
+	anc, heavier := make([]tree.ID, 0, nanc), make([]tree.ID, 0, nsib)
+	for _, id := range t.Preorder() {
+		start := len(anc)
+		if p := t.Parent(id); p != tree.None {
+			anc = append(append(anc, c.ancList[p]...), p)
+		}
+		c.ancList[id] = anc[start:len(anc):len(anc)]
+		start = len(heavier)
+		heavier = c.heavierSiblings(heavier, id)
+		c.heavier[id] = heavier[start:len(heavier):len(heavier)]
 	}
 	return c
 }
 
-// nanc returns Ancestor(d) − covered as a root-down ordered slice.
-func (c *ctx) nanc(d tree.ID, covered bitset.Set) []tree.ID {
-	return c.nancInto(nil, d, covered)
+// heavierSiblings appends to dst the same-parent data siblings of data
+// node d with strictly larger weight (Lemma 3 keeps ties in either order).
+func (c *ctx) heavierSiblings(dst []tree.ID, d tree.ID) []tree.ID {
+	p := c.t.Parent(d)
+	if !c.t.IsData(d) || p == tree.None {
+		return dst
+	}
+	for _, s := range c.t.Children(p) {
+		if c.t.IsData(s) && c.t.Weight(s) > c.t.Weight(d) {
+			dst = append(dst, s)
+		}
+	}
+	return dst
+}
+
+// isAncestor reports whether a is a proper ancestor of d: d's root-down
+// ancestor list holds a at a's level.
+func (c *ctx) isAncestor(a, d tree.ID) bool {
+	l := c.t.Level(a) - 1
+	return l < len(c.ancList[d]) && c.ancList[d][l] == a
 }
 
 // nancInto appends Ancestor(d) − covered to dst in root-down order.
@@ -136,79 +172,30 @@ func (c *ctx) nancCount(d tree.ID, covered bitset.Set) int {
 	return n
 }
 
-// candidates returns the children of a data-tree node in a fresh slice —
-// used by the tree-view walker, whose recursion holds the list across
-// nested generations. Search and EnumeratePaths use candidatesInto with
-// reused buffers.
-func (c *ctx) candidates(used, covered bitset.Set) []tree.ID {
-	return c.candidatesInto(nil, used, covered)
-}
-
-// candidatesInto appends the children of a data-tree node to dst: unused
-// data nodes with no heavier unused sibling (Lemma 3), restricted to the
-// single heaviest remaining node once every index node is covered
-// (Property 1).
-func (c *ctx) candidatesInto(dst []tree.ID, used, covered bitset.Set) []tree.ID {
-	if c.opt.Property1 && c.indexSet.SubsetOf(covered) {
-		for _, d := range c.dataDesc {
-			if !used.Contains(int(d)) {
-				return append(dst, d)
-			}
-		}
-		return dst
-	}
-	for _, d := range c.dataIDs {
-		if used.Contains(int(d)) {
-			continue
-		}
-		if c.heavierSiblingUnused(d, used) {
-			continue
-		}
-		dst = append(dst, d)
-	}
-	return dst
-}
-
 // heavierSiblingUnused reports whether d has an unused same-parent data
 // sibling with strictly larger weight (ties allowed in either order).
 func (c *ctx) heavierSiblingUnused(d tree.ID, used bitset.Set) bool {
-	p := c.t.Parent(d)
-	if p == tree.None {
-		return false
-	}
-	w := c.t.Weight(d)
-	for _, s := range c.t.Children(p) {
-		if s == d || !c.t.IsData(s) || used.Contains(int(s)) {
-			continue
-		}
-		if c.t.Weight(s) > w {
+	for _, s := range c.heavier[d] {
+		if !used.Contains(int(s)) {
 			return true
 		}
 	}
 	return false
 }
 
-// pathInfo describes one placed data node along a path, newest first.
-type pathInfo struct {
-	d    tree.ID
-	nanc []tree.ID // the ancestors emitted immediately before d
-	prev *pathInfo
-}
-
 // keepAfter applies Property 4 (and, when enabled, the Corollary 2 block
-// generalization) to candidate d following the path ending at last.
-// covered must already include everything broadcast through last.
-func (c *ctx) keepAfter(last *pathInfo, d tree.ID, covered bitset.Set) bool {
-	if last == nil || !c.opt.Property4 {
+// generalization) to candidate d following the data-tree node last.
+func (c *ctx) keepAfter(last *state, d tree.ID) bool {
+	if last.parent == nil || !c.opt.Property4 {
 		return true
 	}
-	nb := float64(c.nancCount(d, covered) + 1)
+	nb := float64(c.nancCount(d, last.covered) + 1)
 	wd := c.t.Weight(d)
 
 	// One-and-one exchange (Property 4 proper).
 	excl := 0
 	for _, a := range last.nanc {
-		if c.anc[d].Contains(int(a)) {
+		if c.isAncestor(a, d) {
 			excl++
 		}
 	}
@@ -223,14 +210,14 @@ func (c *ctx) keepAfter(last *pathInfo, d tree.ID, covered bitset.Set) bool {
 		blockLen := 1
 		blockNodes := float64(len(last.nanc) - excl + 1)
 		blockWeight := wa
-		for m := last.prev; m != nil && blockLen < c.opt.MNExchange; m = m.prev {
+		for m := last.parent; m.parent != nil && blockLen < c.opt.MNExchange; m = m.parent {
 			// The candidate's ancestors may only overlap the Nancestor of
 			// the block's first member (they form a removable prefix
 			// there); overlap with any later member breaks contiguity.
 			overlapInner := false
-			for cur := last; cur != m; cur = cur.prev {
+			for cur := last; cur != m; cur = cur.parent {
 				for _, a := range cur.nanc {
-					if c.anc[d].Contains(int(a)) {
+					if c.isAncestor(a, d) {
 						overlapInner = true
 						break
 					}
@@ -244,7 +231,7 @@ func (c *ctx) keepAfter(last *pathInfo, d tree.ID, covered bitset.Set) bool {
 			}
 			exclM := 0
 			for _, a := range m.nanc {
-				if c.anc[d].Contains(int(a)) {
+				if c.isAncestor(a, d) {
 					exclM++
 				}
 			}
@@ -288,22 +275,16 @@ func BroadcastFromDataOrder(t *tree.Tree, order []tree.ID) ([]tree.ID, error) {
 	return seq, nil
 }
 
-// state is a data-tree search node.
+// state is a data-tree node: the data placed so far, the index nodes
+// they imply, and the path's cost.
 type state struct {
 	used    bitset.Set
 	covered bitset.Set
-	info    *pathInfo // newest placed data node (nil at root)
-	pos     int       // broadcast length so far
-	v       float64   // Σ W·T over placed data
-	f       float64
-}
-
-// last returns the state's most recent data node, tree.None at the root.
-func (s *state) last() tree.ID {
-	if s.info == nil {
-		return tree.None
-	}
-	return s.info.d
+	d       tree.ID   // the data node placed last; tree.None at the root
+	nanc    []tree.ID // Nancestor(d): the ancestors emitted immediately before d
+	parent  *state
+	pos     int     // broadcast length so far
+	v       float64 // Σ W·T over placed data
 }
 
 // bound is an admissible completion estimate: remaining data in descending
@@ -322,107 +303,98 @@ func (c *ctx) bound(used bitset.Set, pos int) float64 {
 	return sum
 }
 
+// The data tree as a bestfirst.Space. A state's dominance key is (used
+// set, last data node): the covered set and broadcast position follow
+// from the used set, and the last data node matters because Property 4
+// conditions children on it.
+
+// New returns a blank state.
+func (c *ctx) New() *state {
+	return &state{used: bitset.New(c.n), covered: bitset.New(c.n), d: tree.None}
+}
+
+// Hash folds the dominance key into 64 bits.
+func (c *ctx) Hash(s *state) uint64 {
+	return bitset.HashWord(s.used.Hash(0x2545f4914f6cdd1d), uint64(int64(s.d)))
+}
+
+// Same reports whether a and b have equal dominance keys.
+func (c *ctx) Same(a, b *state) bool { return a.d == b.d && a.used.Equal(b.used) }
+
+func (c *ctx) Cost(s *state) float64  { return s.v }
+func (c *ctx) Bound(s *state) float64 { return c.bound(s.used, s.pos) }
+func (c *ctx) Goal(s *state) bool     { return s.used.Len() == len(c.dataIDs) }
+
+// Expand is the successor step of the data tree: every unused data node
+// with no heavier unused sibling (Lemma 3) — only the heaviest remaining
+// one once every index node is covered (Property 1) — that Property 4
+// keeps after cur becomes a child.
+func (c *ctx) Expand(cur *state, out bestfirst.Sink[*state]) {
+	if c.opt.Property1 && c.indexSet.SubsetOf(cur.covered) {
+		for _, d := range c.dataDesc {
+			if !cur.used.Contains(int(d)) {
+				c.child(cur, d, out)
+				return
+			}
+		}
+		return
+	}
+	for _, d := range c.dataIDs {
+		if !cur.used.Contains(int(d)) && !c.heavierSiblingUnused(d, cur.used) {
+			c.child(cur, d, out)
+		}
+	}
+}
+
+// child places data node d after cur, emitting its Nancestor first. The
+// dominance key and V are set before Admit, the covered set only once
+// admitted. Property 4 rejections count as RulePruned.
+func (c *ctx) child(cur *state, d tree.ID, out bestfirst.Sink[*state]) {
+	if !c.keepAfter(cur, d) {
+		if c.stats != nil {
+			c.stats.RulePruned++
+		}
+		return
+	}
+	next := out.New()
+	next.used.Copy(cur.used)
+	next.used.Add(int(d))
+	next.d, next.parent = d, cur
+	next.nanc = c.nancInto(next.nanc[:0], d, cur.covered)
+	next.pos = cur.pos + len(next.nanc) + 1
+	next.v = cur.v + c.t.Weight(d)*float64(next.pos)
+	if out.Admit(next) {
+		next.covered.Copy(cur.covered)
+		for _, a := range next.nanc {
+			next.covered.Add(int(a))
+		}
+		out.Push(next)
+	}
+}
+
 // Search finds the optimal single-channel allocation by best-first search
 // over the (pruned) data tree. With AllOptions this is the paper's
 // Section 3.3 algorithm; all prunings preserve an optimal path
-// (property-tested against topo.Exact).
-//
-// Dominance follows the same rule as the topological-tree search: every
-// pushed state — the root included — records the cheapest accumulated cost
-// V for its (used set, last data node) key; a successor is generated only
-// when strictly cheaper than the incumbent, and a queued state is skipped
-// at pop time when a strictly cheaper state with its key was pushed after
-// it. Skipped states are recycled through a pool, so the hot loop performs
-// no per-state allocation for dominated work.
+// (property-tested against topo.Exact). The queue loop, dominance rule and
+// expansion limit are internal/bestfirst's.
 func Search(t *tree.Tree, opt Options) (*Result, error) {
 	c := newCtx(t, opt)
 	res := &Result{}
 	c.stats = &res.Stats
-
-	dom := newDomTable()
-
-	// states recycles states skipped stale at pop time. Such a state is
-	// referenced by nothing — it was never expanded (so its pathInfo is
-	// nobody's prev) and the dominance entry for its key aliases a strictly
-	// cheaper state — so its storage, pathInfo included, can serve a future
-	// state. The root is built outside the pool so pooled states always
-	// carry a non-nil pathInfo to reuse.
-	states := pool.New(func() *state {
-		return &state{used: bitset.New(c.n), covered: bitset.New(c.n), info: &pathInfo{}}
-	})
-
-	q := pqueue.New(func(a, b *state) bool { return a.f < b.f })
-	push := func(s *state, h uint64, e *domEntry) {
-		dom.record(e, h, s.used, s.last(), s.v)
-		res.Stats.Generated++
-		q.Push(s)
+	goal, ok, err := bestfirst.Search[*state](c, c.New(), opt.MaxExpanded, &res.Stats)
+	if err != nil {
+		return nil, fmt.Errorf("datatree: %w", err)
 	}
-
-	root := &state{used: bitset.New(c.n), covered: bitset.New(c.n)}
-	root.f = c.bound(root.used, 0)
-	push(root, domHash(root.used, tree.None), nil)
-
-	for q.Len() > 0 {
-		cur := q.Pop()
-		h := domHash(cur.used, cur.last())
-		if e := dom.lookup(h, cur.used, cur.last()); e != nil && e.v < cur.v {
-			res.Stats.DomStale++
-			if cur.info != nil {
-				states.Put(cur)
-			}
-			continue
-		}
-		if cur.used.Len() == t.NumData() {
-			res.Stats.PeakQueue = q.Peak()
-			res.Stats.HashCollisions = dom.collisions
-			return c.finish(cur, res)
-		}
-		if opt.MaxExpanded > 0 && res.Stats.Expanded >= opt.MaxExpanded {
-			return nil, fmt.Errorf("%w (limit %d)", ErrExpansionLimit, opt.MaxExpanded)
-		}
-		res.Stats.Expanded++
-		cand := c.candidatesInto(c.candBuf[:0], cur.used, cur.covered)
-		c.candBuf = cand
-		for _, d := range cand {
-			if !c.keepAfter(cur.info, d, cur.covered) {
-				res.Stats.RulePruned++
-				continue
-			}
-			next := states.Get()
-			next.used.Copy(cur.used)
-			next.used.Add(int(d))
-			ni := next.info
-			ni.d = d
-			ni.nanc = c.nancInto(ni.nanc[:0], d, cur.covered)
-			ni.prev = cur.info
-			next.pos = cur.pos + len(ni.nanc) + 1
-			next.v = cur.v + c.t.Weight(d)*float64(next.pos)
-			nh := domHash(next.used, d)
-			e := dom.lookup(nh, next.used, d)
-			if e != nil && e.v <= next.v {
-				res.Stats.DomPruned++
-				states.Put(next)
-				continue
-			}
-			next.covered.Copy(cur.covered)
-			for _, a := range ni.nanc {
-				next.covered.Add(int(a))
-			}
-			next.f = next.v + c.bound(next.used, next.pos)
-			push(next, nh, e)
-		}
+	if !ok {
+		return nil, fmt.Errorf("datatree: pruned data tree contains no complete path")
 	}
-	return nil, fmt.Errorf("datatree: pruned data tree contains no complete path")
+	return c.finish(goal, res)
 }
 
 func (c *ctx) finish(s *state, res *Result) (*Result, error) {
-	var rev []tree.ID
-	for info := s.info; info != nil; info = info.prev {
-		rev = append(rev, info.d)
-	}
-	order := make([]tree.ID, len(rev))
-	for i := range rev {
-		order[len(rev)-1-i] = rev[i]
+	order := make([]tree.ID, len(c.dataIDs))
+	for i := len(order) - 1; s.parent != nil; i, s = i-1, s.parent {
+		order[i] = s.d
 	}
 	seq, err := BroadcastFromDataOrder(c.t, order)
 	if err != nil {
@@ -443,67 +415,26 @@ func (c *ctx) finish(s *state, res *Result) (*Result, error) {
 
 // EnumeratePaths walks every root-to-leaf path of the (pruned) data tree,
 // invoking visit with the data order and its weighted wait sum; visit
-// returns false to stop early. Returns the number of complete paths.
+// returns false to stop early. The order is valid only during the call.
+// Returns the number of complete paths.
 func EnumeratePaths(t *tree.Tree, opt Options, visit func(order []tree.ID, cost float64) bool) (uint64, error) {
 	if t.NumData() == 0 {
 		return 0, fmt.Errorf("datatree: tree has no data nodes")
 	}
 	c := newCtx(t, opt)
-	used := bitset.New(c.n)
-	covered := bitset.New(c.n)
-	nd := t.NumData()
-	order := make([]tree.ID, 0, nd)
+	order := make([]tree.ID, t.NumData())
 	var count uint64
-	stop := false
-
-	// Per-depth scratch: the recursion holds each depth's candidate list,
-	// nanc slice and pathInfo across the nested walk, so one buffer per
-	// depth (reused across siblings) replaces a fresh allocation per node.
-	candBufs := make([][]tree.ID, nd)
-	nancBufs := make([][]tree.ID, nd)
-	infos := make([]pathInfo, nd)
-
-	var rec func(info *pathInfo, pos int, v float64)
-	rec = func(info *pathInfo, pos int, v float64) {
-		if stop {
-			return
+	bestfirst.Walk[*state](c, c.New(), func(s *state, depth int) bool {
+		if depth == 0 {
+			return true
 		}
-		depth := len(order)
-		if depth == nd {
-			count++
-			if visit != nil && !visit(order, v) {
-				stop = true
-			}
-			return
+		order[depth-1] = s.d
+		if depth < len(order) {
+			return true
 		}
-		cand := c.candidatesInto(candBufs[depth][:0], used, covered)
-		candBufs[depth] = cand
-		for _, d := range cand {
-			if !c.keepAfter(info, d, covered) {
-				continue
-			}
-			nanc := c.nancInto(nancBufs[depth][:0], d, covered)
-			nancBufs[depth] = nanc
-			used.Add(int(d))
-			for _, a := range nanc {
-				covered.Add(int(a))
-			}
-			order = append(order, d)
-			newPos := pos + len(nanc) + 1
-			ni := &infos[depth]
-			ni.d, ni.nanc, ni.prev = d, nanc, info
-			rec(ni, newPos, v+c.t.Weight(d)*float64(newPos))
-			order = order[:len(order)-1]
-			used.Remove(int(d))
-			for _, a := range nanc {
-				covered.Remove(int(a))
-			}
-			if stop {
-				return
-			}
-		}
-	}
-	rec(nil, 0, 0)
+		count++
+		return visit == nil || visit(order, s.v)
+	})
 	return count, nil
 }
 

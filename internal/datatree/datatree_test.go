@@ -63,23 +63,26 @@ func TestBroadcastFromDataOrderErrors(t *testing.T) {
 func TestProperty4PrunesCE(t *testing.T) {
 	tr := tree.Fig1()
 	c := newCtx(tr, Options{Property4: true})
-	covered := tr.AncestorSet(tr.FindLabel("A")) // {1,2} after placing A
-	infoA := &pathInfo{d: tr.FindLabel("A"), nanc: ids(t, tr, "1", "2")}
+	stateA := c.New()
+	stateA.d, stateA.nanc, stateA.parent = tr.FindLabel("A"), ids(t, tr, "1", "2"), c.New()
+	stateA.covered = tr.AncestorSet(tr.FindLabel("A")) // {1,2} after placing A
 	// Place C: Nancestor(C) = {3,4}.
-	nancC := c.nanc(tr.FindLabel("C"), covered)
-	if got := labelsJoin(tr, nancC); got != "34" {
+	stateC := c.New()
+	stateC.d, stateC.parent = tr.FindLabel("C"), stateA
+	stateC.nanc = c.nancInto(nil, stateC.d, stateA.covered)
+	if got := labelsJoin(tr, stateC.nanc); got != "34" {
 		t.Fatalf("Nancestor(C) = %s, want 34", got)
 	}
-	for _, a := range nancC {
-		covered.Add(int(a))
+	stateC.covered = stateA.covered.Clone()
+	for _, a := range stateC.nanc {
+		stateC.covered.Add(int(a))
 	}
-	infoC := &pathInfo{d: tr.FindLabel("C"), nanc: nancC, prev: infoA}
-	if c.keepAfter(infoC, tr.FindLabel("E"), covered) {
+	if c.keepAfter(stateC, tr.FindLabel("E")) {
 		t.Fatal("E after A,C should be pruned by Property 4")
 	}
 	// But D after A,C survives: Nanc(D)={}, nb=1, na=|{3,4}-{1,3,4}|+1...
 	// exchangeable subsequences are 34C vs D: 1·15 ≥ 3·7 holds.
-	if !c.keepAfter(infoC, tr.FindLabel("D"), covered) {
+	if !c.keepAfter(stateC, tr.FindLabel("D")) {
 		t.Fatal("D after A,C should survive Property 4")
 	}
 }

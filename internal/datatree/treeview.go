@@ -5,6 +5,7 @@ import (
 	"io"
 	"strings"
 
+	"repro/internal/bestfirst"
 	"repro/internal/bitset"
 	"repro/internal/tree"
 )
@@ -47,52 +48,28 @@ func BuildTree(t *tree.Tree, opt Options, maxNodes int) (*Node, int, error) {
 		return nil, 0, fmt.Errorf("datatree: tree has no data nodes")
 	}
 	c := newCtx(t, opt)
-	used := bitset.New(c.n)
-	covered := bitset.New(c.n)
-	root := &Node{Data: tree.None}
-	count := 1
-
-	var expand func(n *Node, info *pathInfo, pos int) error
-	expand = func(n *Node, info *pathInfo, pos int) error {
+	var path []*Node // path[d] is the node of the walk's state at depth d
+	var err error
+	count := 0
+	bestfirst.Walk[*state](c, c.New(), func(s *state, depth int) bool {
+		n := &Node{Data: s.d, Cost: s.v}
+		if depth > 0 {
+			n.Nancestor = append([]tree.ID(nil), s.nanc...)
+			n.Cancestor = coveredIndexIDs(t, s.covered)
+			path[depth-1].Children = append(path[depth-1].Children, n)
+		}
+		path = append(path[:depth], n)
+		count++
 		if maxNodes > 0 && count > maxNodes {
-			return fmt.Errorf("datatree: tree exceeds %d nodes", maxNodes)
+			err = fmt.Errorf("datatree: tree exceeds %d nodes", maxNodes)
+			return false
 		}
-		if used.Len() == t.NumData() {
-			return nil
-		}
-		for _, d := range c.candidates(used, covered) {
-			if !c.keepAfter(info, d, covered) {
-				continue
-			}
-			nanc := c.nanc(d, covered)
-			used.Add(int(d))
-			for _, a := range nanc {
-				covered.Add(int(a))
-			}
-			newPos := pos + len(nanc) + 1
-			child := &Node{
-				Data:      d,
-				Nancestor: nanc,
-				Cancestor: coveredIndexIDs(t, covered),
-				Cost:      n.Cost + t.Weight(d)*float64(newPos),
-			}
-			count++
-			n.Children = append(n.Children, child)
-			err := expand(child, &pathInfo{d: d, nanc: nanc, prev: info}, newPos)
-			used.Remove(int(d))
-			for _, a := range nanc {
-				covered.Remove(int(a))
-			}
-			if err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := expand(root, nil, 0); err != nil {
+		return true
+	})
+	if err != nil {
 		return nil, count, err
 	}
-	return root, count, nil
+	return path[0], count, nil
 }
 
 // Render writes the data tree in the paper's Fig. 12 style: each node as
@@ -136,34 +113,4 @@ func coveredIndexIDs(t *tree.Tree, covered bitset.Set) []tree.ID {
 		}
 	}
 	return out
-}
-
-// DOT renders the data tree in Graphviz format, each node labelled with
-// its Nancestor set and data label (the paper's Fig. 11/12 annotations);
-// leaves carry their path cost.
-func DOT(t *tree.Tree, root *Node) string {
-	var b strings.Builder
-	b.WriteString("digraph datatree {\n  rankdir=TB;\n")
-	id := 0
-	var walk func(n *Node) int
-	walk = func(n *Node) int {
-		my := id
-		id++
-		label := "start"
-		if n.Data != tree.None {
-			label = fmt.Sprintf("{%s} %s", labelList(t, n.Nancestor), t.Label(n.Data))
-			if len(n.Children) == 0 {
-				label += fmt.Sprintf("\\ncost %g", n.Cost)
-			}
-		}
-		fmt.Fprintf(&b, "  n%d [label=\"%s\"];\n", my, label)
-		for _, c := range n.Children {
-			child := walk(c)
-			fmt.Fprintf(&b, "  n%d -> n%d;\n", my, child)
-		}
-		return my
-	}
-	walk(root)
-	b.WriteString("}\n")
-	return b.String()
 }

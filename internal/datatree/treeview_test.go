@@ -132,17 +132,3 @@ func TestRenderDataTree(t *testing.T) {
 		}
 	}
 }
-
-func TestDataTreeDOT(t *testing.T) {
-	tr := tree.Fig1()
-	root, _, err := BuildTree(tr, AllOptions(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dot := DOT(tr, root)
-	for _, frag := range []string{"digraph datatree", "start", "{1,2} A", "cost 391", "->"} {
-		if !strings.Contains(dot, frag) {
-			t.Errorf("DOT missing %q", frag)
-		}
-	}
-}

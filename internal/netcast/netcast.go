@@ -84,10 +84,6 @@ type ServerOptions struct {
 	// absorb a frame in time is closed. Defaults to 5s; negative
 	// disables the deadline.
 	WriteTimeout time.Duration
-	// ReadTimeout, when positive, bounds each request read on a
-	// connection. Zero disables (the Grace eviction already bounds how
-	// long a silent connection can hold the clock).
-	ReadTimeout time.Duration
 	// Outages darkens whole channels for scheduled windows of absolute
 	// slots: a delivery whose (channel, slot) falls inside a window is
 	// replaced by a lost-slot frame. The schedule is plain data shared
@@ -500,9 +496,6 @@ func (s *Server) handle(conn net.Conn) {
 	br := bufio.NewReader(conn)
 	var req [requestSize]byte
 	for {
-		if s.opts.ReadTimeout > 0 {
-			conn.SetReadDeadline(time.Now().Add(s.opts.ReadTimeout))
-		}
 		if _, err := readRequest(br, req[:]); err != nil {
 			return
 		}

@@ -1,8 +1,9 @@
-// Package searchstats defines the per-search performance counters shared
-// by the best-first search engines (internal/topo, internal/datatree).
-// The counters are threaded through internal/core, printed by
-// cmd/bcast-opt, and reported per search by the topo and datatree
-// benchmarks.
+// Package searchstats defines the per-search performance counters of the
+// best-first engine (internal/bestfirst) that both search trees run on:
+// the engine counts every field but RulePruned, which the trees' successor
+// steps count. The counters are threaded through internal/topo,
+// internal/datatree and internal/core, printed by cmd/bcast-opt, and
+// reported per search by the topo and datatree benchmarks.
 package searchstats
 
 // Stats counts the work one best-first search performed. All fields are

@@ -1,46 +1,50 @@
 package topo
 
 import (
-	"errors"
 	"fmt"
 
 	"repro/internal/alloc"
+	"repro/internal/bestfirst"
 	"repro/internal/bitset"
-	"repro/internal/pool"
-	"repro/internal/pqueue"
 	"repro/internal/tree"
 )
 
 // ErrExpansionLimit is the sentinel wrapped by Search when it aborts
 // after Options.MaxExpanded expansions; callers detect it with errors.Is
-// to fall back to a heuristic instead of failing outright.
-var ErrExpansionLimit = errors.New("topo: expansion limit exceeded")
+// to fall back to a heuristic instead of failing outright. It is the
+// engine's sentinel, shared with the data-tree search.
+var ErrExpansionLimit = bestfirst.ErrExpansionLimit
 
-// state is one node of the topological tree during search.
+// state is one node of the topological tree. A state with an empty
+// compound is a Property 1 forced completion: its slots hold its parent's
+// unplaced data (g.tail).
 type state struct {
 	placed   bitset.Set
 	compound []tree.ID // the compound placed at this state's slot
 	sorted   []tree.ID // compound in ascending ID order (dominance key)
 	depth    int       // slots used so far
 	v        float64   // accumulated Σ W·T of placed data nodes
-	f        float64   // v + admissible bound
 	parent   *state
-	tail     [][]tree.ID // forced completion levels (Property 1), if any
 }
 
+// forced reports whether s is a Property 1 forced completion.
+func (s *state) forced() bool { return len(s.compound) == 0 }
+
 // levels reconstructs the compound levels of a complete state.
-func (s *state) levels() [][]tree.ID {
-	var rev []*state
+func (g *gen) levels(s *state) [][]tree.ID {
+	rev := make([]*state, 0, s.depth)
 	for cur := s; cur != nil; cur = cur.parent {
 		rev = append(rev, cur)
 	}
-	var out [][]tree.ID
+	out := make([][]tree.ID, 0, s.depth)
 	for i := len(rev) - 1; i >= 0; i-- {
-		if len(rev[i].compound) > 0 {
+		if !rev[i].forced() {
 			out = append(out, rev[i].compound)
 		}
 	}
-	out = append(out, s.tail...)
+	if s.forced() {
+		out = append(out, g.tail(s)...)
+	}
 	return out
 }
 
@@ -55,21 +59,106 @@ func sortIDs(ids []tree.ID) []tree.ID {
 	return ids
 }
 
+// The topological tree as a bestfirst.Space. A state's dominance key is
+// (placed set, depth, last compound in canonical order): two states with
+// equal keys have equal futures, so only the cheaper V need survive.
+
+// New returns a blank state.
+func (g *gen) New() *state { return &state{placed: bitset.New(g.n)} }
+
+// Hash folds the dominance key into 64 bits.
+func (g *gen) Hash(s *state) uint64 {
+	h := s.placed.Hash(uint64(s.depth) + 0x517cc1b727220a95)
+	for _, id := range s.sorted {
+		h = bitset.HashWord(h, uint64(id))
+	}
+	return h
+}
+
+// Same reports whether a and b have equal dominance keys.
+func (g *gen) Same(a, b *state) bool {
+	if a.depth != b.depth || len(a.sorted) != len(b.sorted) {
+		return false
+	}
+	for i := range a.sorted {
+		if a.sorted[i] != b.sorted[i] {
+			return false
+		}
+	}
+	return a.placed.Equal(b.placed)
+}
+
+func (g *gen) Cost(s *state) float64  { return s.v }
+func (g *gen) Bound(s *state) float64 { return g.bound(s.placed, s.depth, g.tight) }
+func (g *gen) Goal(s *state) bool     { return s.placed.Equal(g.all) }
+
+// root returns the tree's root state: the index root alone in slot 1.
+func (g *gen) root() *state {
+	s := g.New()
+	s.placed.Add(int(g.t.Root()))
+	g.place(s, []tree.ID{g.t.Root()})
+	s.depth = 1
+	s.v = g.compoundCost(s.compound, 1)
+	return s
+}
+
+// place sets s's compound, and its canonical order, to comp. The two
+// buffers share one backing made on first use, so a state that only ever
+// holds completions needs none.
+func (g *gen) place(s *state, comp []tree.ID) {
+	if s.sorted == nil {
+		ids := make([]tree.ID, 2*g.k)
+		s.compound, s.sorted = ids[:0:g.k], ids[g.k:g.k]
+	}
+	s.compound = append(s.compound[:0], comp...)
+	s.sorted = sortIDs(append(s.sorted[:0], comp...))
+}
+
+// Expand is the successor step of the topological tree. Once Property 1
+// applies (every index node placed), the only child is the forced
+// completion: the remaining data, heaviest first, k per slot, as one
+// state. Otherwise each next-neighbor compound that survives the pruning
+// rules is placed one slot deeper (eachSuccessor, child). Each child's
+// dominance key and V are set before Admit.
+func (g *gen) Expand(cur *state, out bestfirst.Sink[*state]) {
+	if !g.p.Property1 || !g.allIndexPlaced(cur.placed) {
+		g.eachSuccessor(cur, out)
+		return
+	}
+	nRest, cost := g.completionCostRemaining(cur.placed, cur.depth)
+	done := out.New()
+	done.placed.Copy(g.all)
+	done.compound, done.sorted = done.compound[:0], done.sorted[:0]
+	done.depth = cur.depth + (nRest+g.k-1)/g.k
+	done.v = cur.v + cost
+	if out.Admit(done) {
+		done.parent = cur
+		out.Push(done)
+	}
+}
+
+// child places compound comp one slot below cur.
+func (g *gen) child(cur *state, comp []tree.ID, out bestfirst.Sink[*state]) {
+	next := out.New()
+	next.placed.Copy(cur.placed)
+	for _, id := range comp {
+		next.placed.Add(int(id))
+	}
+	next.depth = cur.depth + 1
+	next.v = cur.v + g.compoundCost(comp, next.depth)
+	g.place(next, comp)
+	if out.Admit(next) {
+		next.parent = cur
+		out.Push(next)
+	}
+}
+
 // Search runs the paper's best-first search over the (optionally pruned)
 // k-channel topological tree and returns an optimal allocation among the
 // paths the pruned tree retains. With AllPrunes this is the paper's full
 // algorithm; the pruning properties guarantee an optimal path survives
-// (property-tested against Exact).
-//
-// Dominance rule: for each (placed set, depth, last compound) key the
-// search keeps the cheapest accumulated cost V pushed so far. A successor
-// is generated only when strictly cheaper than the incumbent, and a queued
-// state is skipped at pop time when a strictly cheaper state with its key
-// was pushed after it. Every pushed state — root and Property-1 forced
-// completions included — is recorded, so equal-cost duplicates are never
-// re-expanded. Keys live in a collision-checked 64-bit hash table
-// (domTable) and skipped states are recycled through a pool, so the hot
-// loop performs no per-state allocation for dominated work.
+// (property-tested against Exact). The queue loop, dominance rule and
+// expansion limit are internal/bestfirst's.
 func Search(t *tree.Tree, opt Options) (*Result, error) {
 	g, err := newGen(t, opt)
 	if err != nil {
@@ -77,112 +166,19 @@ func Search(t *tree.Tree, opt Options) (*Result, error) {
 	}
 	res := &Result{}
 	g.stats = &res.Stats
-
-	dom := newDomTable()
-
-	// states recycles states skipped stale at pop time. Such a state is
-	// referenced by nothing — it was never expanded (so it is nobody's
-	// parent) and the dominance entry for its key aliases a strictly
-	// cheaper state — so its backing storage can serve a future state.
-	states := pool.New(func() *state { return &state{placed: bitset.New(g.n)} })
-	newState := func() *state {
-		s := states.Get()
-		s.parent = nil
-		s.tail = nil
-		return s
+	goal, ok, err := bestfirst.Search[*state](g, g.root(), opt.MaxExpanded, &res.Stats)
+	if err != nil {
+		return nil, fmt.Errorf("topo: %w", err)
 	}
-
-	q := pqueue.New(func(a, b *state) bool { return a.f < b.f })
-	push := func(s *state, h uint64, e *domEntry) {
-		dom.record(e, h, s.placed, s.depth, s.sorted, s.v)
-		res.Stats.Generated++
-		q.Push(s)
+	if !ok {
+		return nil, fmt.Errorf("topo: pruned search space contains no complete allocation")
 	}
-
-	root := newState()
-	root.placed.Add(int(t.Root()))
-	root.compound = append(root.compound[:0], t.Root())
-	root.sorted = append(root.sorted[:0], t.Root())
-	root.depth = 1
-	root.v = g.compoundCost(root.compound, 1)
-	root.f = root.v + g.bound(root.placed, 1, opt.TightBound)
-	push(root, domHash(root.placed, root.depth, root.sorted), nil)
-
-	sortBuf := make([]tree.ID, 0, g.k)
-
-	for q.Len() > 0 {
-		cur := q.Pop()
-		h := domHash(cur.placed, cur.depth, cur.sorted)
-		if e := dom.lookup(h, cur.placed, cur.depth, cur.sorted); e != nil && e.v < cur.v {
-			res.Stats.DomStale++
-			states.Put(cur)
-			continue
-		}
-		if cur.placed.Equal(g.all) {
-			res.Stats.PeakQueue = q.Peak()
-			res.Stats.HashCollisions = dom.collisions
-			return finish(g, cur, res)
-		}
-		if opt.MaxExpanded > 0 && res.Stats.Expanded >= opt.MaxExpanded {
-			return nil, fmt.Errorf("%w (limit %d)", ErrExpansionLimit, opt.MaxExpanded)
-		}
-		res.Stats.Expanded++
-
-		// Property 1: forced completion once every index node is placed.
-		if g.p.Property1 && g.allIndexPlaced(cur.placed) {
-			nRest, cost := g.completionCostRemaining(cur.placed, cur.depth)
-			depth := cur.depth + (nRest+g.k-1)/g.k
-			v := cur.v + cost
-			dh := domHash(g.all, depth, nil)
-			e := dom.lookup(dh, g.all, depth, nil)
-			if e != nil && e.v <= v {
-				res.Stats.DomPruned++
-				continue
-			}
-			done := newState()
-			done.placed.Copy(g.all)
-			done.compound = done.compound[:0]
-			done.sorted = done.sorted[:0]
-			done.depth = depth
-			done.v = v
-			done.f = v
-			done.parent = cur
-			done.tail = g.completionLevels(g.remainingDataDesc(cur.placed))
-			push(done, dh, e)
-			continue
-		}
-
-		g.eachSuccessor(cur.placed, cur.compound, func(comp []tree.ID) {
-			next := newState()
-			next.placed.Copy(cur.placed)
-			for _, id := range comp {
-				next.placed.Add(int(id))
-			}
-			depth := cur.depth + 1
-			v := cur.v + g.compoundCost(comp, depth)
-			sortBuf = sortIDs(append(sortBuf[:0], comp...))
-			nh := domHash(next.placed, depth, sortBuf)
-			e := dom.lookup(nh, next.placed, depth, sortBuf)
-			if e != nil && e.v <= v {
-				res.Stats.DomPruned++
-				states.Put(next)
-				return
-			}
-			next.compound = append(next.compound[:0], comp...)
-			next.sorted = append(next.sorted[:0], sortBuf...)
-			next.depth = depth
-			next.v = v
-			next.f = v + g.bound(next.placed, depth, opt.TightBound)
-			next.parent = cur
-			push(next, nh, e)
-		})
-	}
-	return nil, fmt.Errorf("topo: pruned search space contains no complete allocation")
+	return finish(g, goal, res)
 }
 
 // finish materializes the allocation of a complete state.
 func finish(g *gen, s *state, res *Result) (*Result, error) {
-	a, err := alloc.FromLevels(g.t, g.k, s.levels())
+	a, err := alloc.FromLevels(g.t, g.k, g.levels(s))
 	if err != nil {
 		return nil, fmt.Errorf("topo: internal error building allocation: %w", err)
 	}
@@ -209,8 +205,9 @@ func Exact(t *tree.Tree, k int) (*Result, error) {
 
 // EnumeratePaths walks every root-to-leaf path of the (optionally pruned)
 // topological tree in depth-first order, invoking visit with the compound
-// levels and the path's weighted wait sum. visit returns false to stop the
-// enumeration early. It returns the number of complete paths visited.
+// levels and the path's weighted wait sum. The levels are valid only
+// during the call. visit returns false to stop the enumeration early. It
+// returns the number of complete paths visited.
 //
 // With Prune.Property1 enabled, each forced completion counts as a single
 // path, matching how the paper counts reduced-tree paths in Table 1.
@@ -220,53 +217,19 @@ func EnumeratePaths(t *tree.Tree, opt Options, visit func(levels [][]tree.ID, co
 		return 0, err
 	}
 	var count uint64
-	stop := false
-
-	placed := bitset.New(g.n)
-	placed.Add(int(t.Root()))
-	levels := [][]tree.ID{{t.Root()}}
-	v0 := g.compoundCost(levels[0], 1)
-
-	var rec func(depth int, v float64)
-	rec = func(depth int, v float64) {
-		if stop {
-			return
+	var levels [][]tree.ID
+	bestfirst.Walk[*state](g, g.root(), func(s *state, depth int) bool {
+		if s.forced() {
+			levels = append(levels[:depth], g.tail(s)...)
+		} else {
+			levels = append(levels[:depth], s.compound)
 		}
-		if placed.Equal(g.all) {
-			count++
-			if visit != nil && !visit(levels, v) {
-				stop = true
-			}
-			return
+		if !g.Goal(s) {
+			return true
 		}
-		if g.p.Property1 && g.allIndexPlaced(placed) {
-			rest := g.remainingDataDesc(placed)
-			tail := g.completionLevels(rest)
-			levels = append(levels, tail...)
-			count++
-			if visit != nil && !visit(levels, v+g.completionCost(rest, depth)) {
-				stop = true
-			}
-			levels = levels[:len(levels)-len(tail)]
-			return
-		}
-		prev := levels[len(levels)-1]
-		for _, comp := range g.successors(placed, prev) {
-			for _, id := range comp {
-				placed.Add(int(id))
-			}
-			levels = append(levels, comp)
-			rec(depth+1, v+g.compoundCost(comp, depth+1))
-			levels = levels[:len(levels)-1]
-			for _, id := range comp {
-				placed.Remove(int(id))
-			}
-			if stop {
-				return
-			}
-		}
-	}
-	rec(1, v0)
+		count++
+		return visit == nil || visit(levels, s.v)
+	})
 	return count, nil
 }
 

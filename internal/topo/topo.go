@@ -20,6 +20,7 @@ import (
 	"fmt"
 
 	"repro/internal/alloc"
+	"repro/internal/bestfirst"
 	"repro/internal/bitset"
 	"repro/internal/searchstats"
 	"repro/internal/tree"
@@ -87,35 +88,36 @@ type Result struct {
 	Stats searchstats.Stats
 }
 
-// gen holds per-search immutable context plus the scratch buffers the hot
-// loop reuses. The buffers make gen single-goroutine; every search builds
-// its own gen, so concurrent searches over the same tree stay safe.
+// gen holds per-search immutable context plus the scratch buffers the
+// successor step reuses. The buffers make gen single-goroutine; every
+// search builds its own gen, so concurrent searches over the same tree
+// stay safe.
 type gen struct {
-	t   *tree.Tree
-	k   int
-	p   Prune
-	n   int
-	all bitset.Set // every node ID
+	t     *tree.Tree
+	k     int
+	p     Prune
+	tight bool
+	n     int
+	all   bitset.Set // every node ID
 
 	indexSet bitset.Set // all index node IDs
 	dataDesc []tree.ID  // data IDs sorted by descending weight
 
 	stats *searchstats.Stats // counters of the running search (nil outside Search)
 
-	// Scratch buffers reused across successor generations. They are only
-	// live within one eachSuccessor call (callers copy what they keep), so
-	// reuse is safe even under EnumeratePaths' recursion.
-	availBuf  []tree.ID
-	keptBuf   []tree.ID
-	dataBuf   []tree.ID
-	chosenBuf []tree.ID
+	// frames[i] backs the candidate buffers of the eachSuccessor call at
+	// nesting level i. A search never nests; a walk generates a child's
+	// successors from inside its parent's generation, one level deeper.
+	frames [][]tree.ID
+	level  int
 }
 
 func newGen(t *tree.Tree, opt Options) (*gen, error) {
 	if opt.Channels < 1 {
 		return nil, fmt.Errorf("topo: %d channels", opt.Channels)
 	}
-	g := &gen{t: t, k: opt.Channels, p: opt.Prune, n: t.NumNodes()}
+	g := &gen{t: t, k: opt.Channels, p: opt.Prune, tight: opt.TightBound, n: t.NumNodes(),
+		frames: make([][]tree.ID, 0, 4)}
 	g.all = bitset.New(g.n)
 	g.indexSet = bitset.New(g.n)
 	for i := 0; i < g.n; i++ {
@@ -125,15 +127,13 @@ func newGen(t *tree.Tree, opt Options) (*gen, error) {
 		}
 	}
 	g.dataDesc = t.SortedDataByWeight()
-	g.chosenBuf = make([]tree.ID, 0, g.k)
 	return g, nil
 }
 
-// available returns the unplaced nodes whose parent is placed (the set S of
-// Algorithm 1), in ascending ID order. The returned slice aliases a scratch
-// buffer valid until the next available call.
-func (g *gen) available(placed bitset.Set) []tree.ID {
-	out := g.availBuf[:0]
+// available appends to dst the unplaced nodes whose parent is placed (the
+// set S of Algorithm 1), in ascending ID order.
+func (g *gen) available(dst []tree.ID, placed bitset.Set) []tree.ID {
+	out := dst
 	for i := 0; i < g.n; i++ {
 		id := tree.ID(i)
 		if placed.Contains(i) {
@@ -144,7 +144,6 @@ func (g *gen) available(placed bitset.Set) []tree.ID {
 			out = append(out, id)
 		}
 	}
-	g.availBuf = out
 	return out
 }
 
@@ -153,40 +152,29 @@ func (g *gen) allIndexPlaced(placed bitset.Set) bool {
 	return g.indexSet.SubsetOf(placed)
 }
 
-// remainingDataDesc returns the unplaced data nodes in descending weight.
-func (g *gen) remainingDataDesc(placed bitset.Set) []tree.ID {
-	var out []tree.ID
+// tail returns the slots of the forced completion s: its parent's
+// unplaced data nodes in descending weight, packed k per slot.
+func (g *gen) tail(s *state) [][]tree.ID {
+	placed := s.parent.placed
+	n := 0
 	for _, d := range g.dataDesc {
 		if !placed.Contains(int(d)) {
-			out = append(out, d)
+			n++
 		}
 	}
-	return out
-}
-
-// completionLevels packs ids k per slot in the given order.
-func (g *gen) completionLevels(ids []tree.ID) [][]tree.ID {
-	var levels [][]tree.ID
-	for len(ids) > 0 {
-		n := g.k
-		if n > len(ids) {
-			n = len(ids)
+	ids := make([]tree.ID, 0, n)
+	for _, d := range g.dataDesc {
+		if !placed.Contains(int(d)) {
+			ids = append(ids, d)
 		}
-		levels = append(levels, append([]tree.ID(nil), ids[:n]...))
-		ids = ids[n:]
+	}
+	levels := make([][]tree.ID, 0, (n+g.k-1)/g.k)
+	for len(ids) > 0 {
+		m := min(g.k, len(ids))
+		levels = append(levels, ids[:m:m])
+		ids = ids[m:]
 	}
 	return levels
-}
-
-// completionCost is the Formula-1 numerator contribution of packing the
-// given data nodes k per slot starting at slot depth+1.
-func (g *gen) completionCost(ids []tree.ID, depth int) float64 {
-	var sum float64
-	for i, id := range ids {
-		slot := depth + 1 + i/g.k
-		sum += g.t.Weight(id) * float64(slot)
-	}
-	return sum
 }
 
 // bound returns an admissible lower bound on the remaining weighted wait
@@ -244,8 +232,8 @@ func (g *gen) compoundCost(compound []tree.ID, slot int) float64 {
 }
 
 // filterS applies the Appendix Step 2 candidate filters given the previous
-// compound prev (nil for the root step).
-func (g *gen) filterS(s []tree.ID, prev []tree.ID) []tree.ID {
+// compound prev (nil for the root step), appending the survivors to dst.
+func (g *gen) filterS(dst, s []tree.ID, prev []tree.ID) []tree.ID {
 	if len(prev) == 0 {
 		return s
 	}
@@ -279,7 +267,7 @@ func (g *gen) filterS(s []tree.ID, prev []tree.ID) []tree.ID {
 		if prevAllIndex {
 			// Case 1(i): only children of the previous index node; among
 			// data children keep only the heaviest (ties kept).
-			kept := g.keptBuf[:0]
+			kept := dst
 			maxW := -1.0
 			for _, id := range s {
 				if !childOfPrev(id) {
@@ -298,18 +286,16 @@ func (g *gen) filterS(s []tree.ID, prev []tree.ID) []tree.ID {
 				}
 				kept = append(kept, id)
 			}
-			g.keptBuf = kept
 			return kept
 		}
 		// Case 2: drop data heavier than the previous data node.
-		kept := g.keptBuf[:0]
+		kept := dst
 		for _, id := range s {
 			if g.t.IsData(id) && hasPrevData && g.t.Weight(id) > minPrevDataW && !childOfPrev(id) {
 				continue
 			}
 			kept = append(kept, id)
 		}
-		g.keptBuf = kept
 		return kept
 	}
 
@@ -317,8 +303,10 @@ func (g *gen) filterS(s []tree.ID, prev []tree.ID) []tree.ID {
 		if prevAllIndex {
 			// Case 1(ii): data nodes must be children of the previous
 			// compound; keep at most the k heaviest data candidates.
-			kept := g.keptBuf[:0]
-			dataCands := g.dataBuf[:0]
+			kept := dst
+			// The data candidates overwrite s in place: each is written at
+			// or before the index being read.
+			dataCands := s[:0]
 			for _, id := range s {
 				if g.t.IsData(id) {
 					if childOfPrev(id) {
@@ -344,21 +332,18 @@ func (g *gen) filterS(s []tree.ID, prev []tree.ID) []tree.ID {
 				}
 				dataCands = dataCands[:n]
 			}
-			g.dataBuf = dataCands
 			kept = append(kept, dataCands...)
-			g.keptBuf = kept
 			return kept
 		}
 		// Case 2: drop data heavier than some data in prev unless it is a
 		// child of prev.
-		kept := g.keptBuf[:0]
+		kept := dst
 		for _, id := range s {
 			if g.t.IsData(id) && hasPrevData && g.t.Weight(id) > minPrevDataW && !childOfPrev(id) {
 				continue
 			}
 			kept = append(kept, id)
 		}
-		g.keptBuf = kept
 		return kept
 	}
 	return s
@@ -495,63 +480,51 @@ func (g *gen) subsetOK(cand, chosen, prev []tree.ID) bool {
 	return true
 }
 
-// eachSuccessor invokes fn with each next-neighbor compound of a
-// topological-tree node, applying the configured pruning. The compound
-// slice aliases a scratch buffer valid only during the callback, so callers
-// copy what they keep. prev is the node's own compound (nil when generating
-// the root). Candidate compounds rejected by the subset-level rules are
+// eachSuccessor generates the next-neighbor compounds of the non-complete
+// state cur, applying the configured pruning, and hands each survivor to
+// g.child. Candidate compounds rejected by the subset-level rules are
 // counted in stats.RulePruned.
-func (g *gen) eachSuccessor(placed bitset.Set, prev []tree.ID, fn func(comp []tree.ID)) {
-	s := g.available(placed)
-	if len(s) == 0 {
-		return
+func (g *gen) eachSuccessor(cur *state, out bestfirst.Sink[*state]) {
+	if g.level == len(g.frames) {
+		g.frames = append(g.frames, make([]tree.ID, 2*g.n+g.k))
 	}
-	s = g.filterS(s, prev)
-	if len(s) == 0 {
-		return
+	// No buffer outgrows its share: S and its filtered form hold at most
+	// n nodes, a compound at most k.
+	b, n := g.frames[g.level], g.n
+	g.level++
+	switch s := g.filterS(b[n:n:2*n], g.available(b[:0:n], cur.placed), cur.compound); {
+	case len(s) == 0:
+	case len(s) <= g.k:
+		g.offer(cur, s, s, out)
+	default:
+		g.subsets(cur, s, b[2*n:2*n], 0, out)
 	}
-	if len(s) <= g.k {
-		if !g.subsetOK(s, s, prev) {
-			if g.stats != nil {
-				g.stats.RulePruned++
-			}
-			return
-		}
-		fn(s)
-		return
-	}
-	chosen := g.chosenBuf[:0]
-	var rec func(start int)
-	rec = func(start int) {
-		if len(chosen) == g.k {
-			if g.subsetOK(s, chosen, prev) {
-				fn(chosen)
-			} else if g.stats != nil {
-				g.stats.RulePruned++
-			}
-			return
-		}
-		// Not enough remaining elements to fill the subset.
-		if len(s)-start < g.k-len(chosen) {
-			return
-		}
-		for i := start; i < len(s); i++ {
-			chosen = append(chosen, s[i])
-			rec(i + 1)
-			chosen = chosen[:len(chosen)-1]
-		}
-	}
-	rec(0)
+	g.level--
 }
 
-// successors collects the next-neighbor compounds into freshly allocated
-// slices. The enumeration paths (EnumeratePaths, treeview) use it where
-// compounds must outlive the generation; the search hot loop calls
-// eachSuccessor directly.
-func (g *gen) successors(placed bitset.Set, prev []tree.ID) [][]tree.ID {
-	var out [][]tree.ID
-	g.eachSuccessor(placed, prev, func(comp []tree.ID) {
-		out = append(out, append([]tree.ID(nil), comp...))
-	})
-	return out
+// subsets extends chosen with elements of s from index start on until it
+// holds k of them, then offers the compound. chosen has capacity k, so the
+// recursion never allocates.
+func (g *gen) subsets(cur *state, s, chosen []tree.ID, start int, out bestfirst.Sink[*state]) {
+	if len(chosen) == g.k {
+		g.offer(cur, s, chosen, out)
+		return
+	}
+	// Not enough remaining elements to fill the subset.
+	if len(s)-start < g.k-len(chosen) {
+		return
+	}
+	for i := start; i < len(s); i++ {
+		g.subsets(cur, s, append(chosen, s[i]), i+1, out)
+	}
+}
+
+// offer passes compound comp, drawn from the candidates s, through the
+// subset-level rules to g.child.
+func (g *gen) offer(cur *state, s, comp []tree.ID, out bestfirst.Sink[*state]) {
+	if g.subsetOK(s, comp, cur.compound) {
+		g.child(cur, comp, out)
+	} else if g.stats != nil {
+		g.stats.RulePruned++
+	}
 }

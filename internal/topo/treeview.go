@@ -6,7 +6,7 @@ import (
 	"sort"
 	"strings"
 
-	"repro/internal/bitset"
+	"repro/internal/bestfirst"
 	"repro/internal/tree"
 )
 
@@ -54,60 +54,56 @@ func BuildTree(t *tree.Tree, opt Options, maxNodes int) (*Node, int, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	placed := bitset.New(g.n)
-	placed.Add(int(t.Root()))
-	root := &Node{Compound: []tree.ID{t.Root()}}
-	root.Cost = g.compoundCost(root.Compound, 1)
-	count := 1
+	b := &treeBuilder{g: g, maxNodes: maxNodes, ids: make([]tree.ID, 0, g.n)}
+	b.path = b.buf[:0]
+	bestfirst.Walk[*state](g, g.root(), b.visit)
+	if b.err != nil {
+		return nil, b.count, b.err
+	}
+	return b.path[0], b.count, nil
+}
 
-	var expand func(n *Node, depth int) error
-	expand = func(n *Node, depth int) error {
-		if maxNodes > 0 && count > maxNodes {
-			return fmt.Errorf("topo: tree exceeds %d nodes", maxNodes)
-		}
-		if placed.Equal(g.all) {
-			return nil
-		}
-		if g.p.Property1 && g.allIndexPlaced(placed) {
-			// A forced completion renders as a chain of compounds.
-			rest := g.remainingDataDesc(placed)
-			parent := n
-			for i, level := range g.completionLevels(rest) {
-				child := &Node{
-					Compound: level,
-					Cost:     parent.Cost + g.compoundCost(level, depth+1+i),
-					Forced:   true,
-				}
-				count++
-				parent.Children = append(parent.Children, child)
-				parent = child
-			}
-			return nil
-		}
-		for _, comp := range g.successors(placed, n.Compound) {
+// treeBuilder turns the states of a walk into Nodes.
+type treeBuilder struct {
+	g        *gen
+	maxNodes int
+	path     []*Node // path[d] is the node of the walk's state at depth d
+	buf      [8]*Node
+	ids      []tree.ID // backs every node's compound
+	count    int
+	err      error
+}
+
+func (b *treeBuilder) visit(s *state, depth int) bool {
+	if s.forced() {
+		// A forced completion renders as a chain of compounds.
+		parent := b.path[depth-1]
+		for i, level := range b.g.tail(s) {
 			child := &Node{
-				Compound: comp,
-				Cost:     n.Cost + g.compoundCost(comp, depth+1),
+				Compound: level,
+				Cost:     parent.Cost + b.g.compoundCost(level, s.parent.depth+1+i),
+				Forced:   true,
 			}
-			count++
-			for _, id := range comp {
-				placed.Add(int(id))
-			}
-			n.Children = append(n.Children, child)
-			err := expand(child, depth+1)
-			for _, id := range comp {
-				placed.Remove(int(id))
-			}
-			if err != nil {
-				return err
-			}
+			b.count++
+			parent.Children = append(parent.Children, child)
+			parent = child
 		}
-		return nil
+		return true
 	}
-	if err := expand(root, 1); err != nil {
-		return nil, count, err
+	// The walk reuses s, so the compound is copied, into one growing
+	// array: a regrowth leaves earlier nodes on the old one.
+	b.ids = append(b.ids, s.compound...)
+	n := &Node{Compound: b.ids[len(b.ids)-len(s.compound) : len(b.ids) : len(b.ids)], Cost: s.v}
+	b.count++
+	if depth > 0 {
+		b.path[depth-1].Children = append(b.path[depth-1].Children, n)
 	}
-	return root, count, nil
+	b.path = append(b.path[:depth], n)
+	if b.maxNodes > 0 && b.count > b.maxNodes {
+		b.err = fmt.Errorf("topo: tree exceeds %d nodes", b.maxNodes)
+		return false
+	}
+	return true
 }
 
 // label renders a compound like "{2,3}" with sorted labels.
@@ -142,34 +138,4 @@ func Render(w io.Writer, t *tree.Tree, root *Node) error {
 		return nil
 	}
 	return walk(root, 0)
-}
-
-// DOT renders the topological tree in Graphviz format; forced completion
-// nodes are dashed and leaves carry their cost.
-func DOT(t *tree.Tree, root *Node) string {
-	var b strings.Builder
-	b.WriteString("digraph topotree {\n  rankdir=TB;\n")
-	id := 0
-	var walk func(n *Node) int
-	walk = func(n *Node) int {
-		my := id
-		id++
-		attrs := ""
-		if n.Forced {
-			attrs = ", style=dashed"
-		}
-		label := compoundLabel(t, n.Compound)
-		if len(n.Children) == 0 {
-			label += fmt.Sprintf("\\ncost %g", n.Cost)
-		}
-		fmt.Fprintf(&b, "  n%d [label=\"%s\"%s];\n", my, label, attrs)
-		for _, c := range n.Children {
-			child := walk(c)
-			fmt.Fprintf(&b, "  n%d -> n%d;\n", my, child)
-		}
-		return my
-	}
-	walk(root)
-	b.WriteString("}\n")
-	return b.String()
 }
