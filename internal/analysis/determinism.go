@@ -17,6 +17,7 @@ var DeterministicPaths = []string{
 	"internal/sim",
 	"internal/fault",
 	"internal/experiment",
+	"internal/bestfirst",
 	"internal/topo",
 	"internal/datatree",
 	"internal/core",

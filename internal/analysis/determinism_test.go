@@ -26,6 +26,7 @@ func TestPathMatches(t *testing.T) {
 		{"repro/internal/obs", true},
 		{"repro/internal/retrieval", true},
 		{"repro/internal/retrieval/sub", true},
+		{"repro/internal/bestfirst", true}, // the searches' queue loop
 		{"repro/internal/netcast", false},
 		{"repro", false},
 	}

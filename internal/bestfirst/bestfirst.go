@@ -182,8 +182,8 @@ func Walk[S any](sp Space[S], root S, visit func(s S, depth int) bool) {
 type walker[S any] struct {
 	sp    Space[S]
 	visit func(S, int) bool
-	path  []S // path[d] is the storage for the state at depth d
-	buf   [8]S
+	path  []S  // path[d] is the storage for the state at depth d
+	buf   [8]S // backs path while the walk is shallow
 	depth int
 	stop  bool
 }

@@ -108,6 +108,7 @@ type gen struct {
 	// frames[i] backs the candidate buffers of the eachSuccessor call at
 	// nesting level i. A search never nests; a walk generates a child's
 	// successors from inside its parent's generation, one level deeper.
+	// newGen leaves room for a few levels so shallow walks never regrow it.
 	frames [][]tree.ID
 	level  int
 }

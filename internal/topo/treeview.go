@@ -67,8 +67,8 @@ func BuildTree(t *tree.Tree, opt Options, maxNodes int) (*Node, int, error) {
 type treeBuilder struct {
 	g        *gen
 	maxNodes int
-	path     []*Node // path[d] is the node of the walk's state at depth d
-	buf      [8]*Node
+	path     []*Node   // path[d] is the node of the walk's state at depth d
+	buf      [8]*Node  // backs path while the walk is shallow
 	ids      []tree.ID // backs every node's compound
 	count    int
 	err      error
