@@ -1,8 +1,9 @@
-// Package pool provides the tiny LIFO free list the search hot loops
-// recycle dominated states through. Unlike sync.Pool it is not safe for
-// concurrent use and never sheds items under GC pressure: the search
-// engines are single-goroutine and want deterministic, replayable reuse,
-// so a plain slice-backed free list is both faster and reproducible.
+// Package pool provides the tiny LIFO free list the best-first engine
+// (internal/bestfirst) recycles dominated states through. Unlike sync.Pool
+// it is not safe for concurrent use and never sheds items under GC
+// pressure: the engine is single-goroutine and wants deterministic,
+// replayable reuse, so a plain slice-backed free list is both faster and
+// reproducible.
 //
 // Ownership contract (enforced by the bcast-vet pooledreturn analyzer):
 // a function that calls Get must also contain a Put on the same pool —

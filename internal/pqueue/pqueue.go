@@ -1,6 +1,6 @@
 // Package pqueue provides the small generic binary min-heap shared by the
-// search engines (topological-tree, data-tree and DAG A*, and the range
-// query's pending-read queue). Unlike container/heap it needs no
+// best-first search engine (internal/bestfirst), Huffman construction and
+// the range query's pending-read queue. Unlike container/heap it needs no
 // interface boilerplate and does not box elements.
 package pqueue
 
