@@ -29,7 +29,7 @@ fuzz:
 
 bench:
 	$(GO) test -run xxx -bench . -benchmem -benchtime 50x .
-	$(GO) test -run xxx -bench 'SearchPrunedVsUnpruned|ExactFig1|BuildTree' -benchmem ./internal/topo
+	$(GO) test -run xxx -bench 'SearchPrunedVsUnpruned|ExactFig1|BuildTree|ExactAdaptShape' -benchmem ./internal/topo
 	$(GO) test -run xxx -bench 'Search|CountPaths' -benchmem ./internal/datatree
 	$(GO) test -run xxx -bench 'Query|Evaluate|Compile' -benchmem ./internal/sim
 	$(GO) test -run xxx -bench Stage -benchmem ./internal/epoch

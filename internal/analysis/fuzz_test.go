@@ -21,6 +21,7 @@ func FuzzNolintDirective(f *testing.F) {
 	f.Add("// nolint:bcast-obsregistry")
 	f.Add("/* want `directive needs a reason` */")
 	f.Add("//nolint:bcast-,bcast-budgetflow")
+	f.Add("//nolint:bcast-bcast-")
 	f.Add("//\x00nolint:bcast-determinism")
 	f.Fuzz(func(t *testing.T, text string) {
 		names, hasReason, ok := parseNolintDirective(text)

@@ -36,7 +36,9 @@ func parseNolintDirective(text string) (names []string, hasReason, ok bool) {
 		return nil, false, false
 	}
 	for _, n := range strings.Split(m[1], ",") {
-		if rest, cut := strings.CutPrefix(n, "bcast-"); cut && rest != "" {
+		// A name left empty or still prefixed once bcast- is cut names no
+		// analyzer.
+		if rest, cut := strings.CutPrefix(n, "bcast-"); cut && rest != "" && !strings.HasPrefix(rest, "bcast-") {
 			names = append(names, rest)
 		}
 	}

@@ -110,3 +110,56 @@ func TestWalkOrderAndStop(t *testing.T) {
 		t.Errorf("walk visited %d states after a stop at the 4th, want 4", n)
 	}
 }
+
+// chain is a toy Space like dag that counts the states it makes. Its
+// edges put a successor after each recycling event: 1→2 is push-skipped
+// before 1→3 is generated, and the queued 1→3 (cost 6) is pop-skipped
+// before node 4 is expanded.
+type chain struct{ news *int }
+
+var chainEdges = [][]struct {
+	to int
+	w  float64
+}{
+	0: {{1, 1}, {2, 4}},
+	1: {{2, 3}, {3, 5}},
+	2: {{3, 1}},
+	3: {{4, 2}},
+	4: {{5, 1}},
+}
+
+func (c chain) New() *node            { *c.news++; return &node{} }
+func (c chain) Hash(s *node) uint64   { return uint64(s.id) }
+func (c chain) Same(a, b *node) bool  { return a.id == b.id }
+func (c chain) Cost(s *node) float64  { return s.v }
+func (c chain) Bound(s *node) float64 { return 0 }
+func (c chain) Goal(s *node) bool     { return s.id == 5 }
+func (c chain) Expand(s *node, out Sink[*node]) {
+	for _, e := range chainEdges[s.id] {
+		n := out.New()
+		n.id, n.v = e.to, s.v+e.w
+		if out.Admit(n) {
+			out.Push(n)
+		}
+	}
+}
+
+// TestSearchRecyclesDominated: the push-skipped and the pop-skipped state
+// each serve a later successor, so the search makes one state fewer per
+// recycling event than it generates and rejects.
+func TestSearchRecyclesDominated(t *testing.T) {
+	news := 0
+	sp := chain{&news}
+	var st searchstats.Stats
+	goal, ok, err := Search[*node](sp, sp.New(), 0, &st)
+	if err != nil || !ok || goal.id != 5 || goal.v != 8 {
+		t.Fatalf("goal %+v ok=%v err=%v, want node 5 at 8", goal, ok, err)
+	}
+	if st.DomPruned != 1 || st.DomStale != 1 || st.Generated != 7 {
+		t.Fatalf("stats %+v, want one push-skip, one pop-skip and 7 generated", st)
+	}
+	if news >= st.Generated+st.DomPruned || news != st.Generated-st.DomStale {
+		t.Errorf("made %d states for %d generated and %d rejected, want %d: a dominated state was not reused",
+			news, st.Generated, st.DomPruned, st.Generated-st.DomStale)
+	}
+}

@@ -63,13 +63,11 @@ func (s *Set) Remove(v int) {
 	}
 }
 
-// Contains reports whether v is in the set.
+// Contains reports whether v is in the set. A negative v converts to a
+// word index past the end, so one unsigned compare rejects it too.
 func (s Set) Contains(v int) bool {
-	if v < 0 {
-		return false
-	}
-	w := v / wordBits
-	return w < len(s.words) && s.words[w]&(1<<uint(v%wordBits)) != 0
+	w := uint(v) / wordBits
+	return w < uint(len(s.words)) && s.words[w]&(1<<(uint(v)%wordBits)) != 0
 }
 
 // Len returns the number of elements in the set.

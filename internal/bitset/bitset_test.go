@@ -44,6 +44,13 @@ func TestAddRemoveContains(t *testing.T) {
 	if s.Len() != 2 {
 		t.Fatalf("Len = %d, want 2", s.Len())
 	}
+	// Negative values and values past the last word are never members,
+	// even -61, whose bit within a word (-61 mod 64 = 3) is a member's.
+	for _, v := range []int{-1, -61, -64, -128, 1 << 20} {
+		if s.Contains(v) {
+			t.Errorf("Contains(%d) = true", v)
+		}
+	}
 	// Removing an absent or negative value is a no-op.
 	s.Remove(1000)
 	s.Remove(-1)

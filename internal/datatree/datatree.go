@@ -76,7 +76,8 @@ type Result struct {
 
 // ctx holds per-run immutable context. It is the data tree as a
 // bestfirst.Space; the successor step keeps no scratch, so a walk may
-// generate a child's children while its parent's generation runs.
+// generate a child's children while its parent's generation runs. Only
+// Bound, which a walk never calls, uses scratch (rel's).
 type ctx struct {
 	t        *tree.Tree
 	opt      Options
@@ -86,6 +87,7 @@ type ctx struct {
 	indexSet bitset.Set
 	ancList  [][]tree.ID // ancestors root-down per node ID
 	heavier  [][]tree.ID // per data node, its strictly heavier same-parent data siblings
+	rel      tree.ReleaseBound
 
 	stats *searchstats.Stats // counters of the running search (nil outside Search)
 }
@@ -94,9 +96,12 @@ func newCtx(t *tree.Tree, opt Options) *ctx {
 	c := &ctx{t: t, opt: opt, n: t.NumNodes()}
 	c.dataIDs = t.DataIDs()
 	c.dataDesc = t.SortedDataByWeight()
+	c.rel = tree.NewReleaseBound(t, c.dataDesc)
 	c.indexSet = bitset.New(c.n)
-	for _, id := range t.IndexIDs() {
-		c.indexSet.Add(int(id))
+	for i := 0; i < c.n; i++ {
+		if t.IsIndex(tree.ID(i)) {
+			c.indexSet.Add(i)
+		}
 	}
 	// Both per-node lists share one backing array each, sized up front so
 	// it never regrows, and filled in preorder so a parent's ancestor list
@@ -287,22 +292,6 @@ type state struct {
 	v       float64 // Σ W·T over placed data
 }
 
-// bound is an admissible completion estimate: remaining data in descending
-// weight at the immediately following positions (index insertions can only
-// push them later).
-func (c *ctx) bound(used bitset.Set, pos int) float64 {
-	var sum float64
-	i := 1
-	for _, d := range c.dataDesc {
-		if used.Contains(int(d)) {
-			continue
-		}
-		sum += c.t.Weight(d) * float64(pos+i)
-		i++
-	}
-	return sum
-}
-
 // The data tree as a bestfirst.Space. A state's dominance key is (used
 // set, last data node): the covered set and broadcast position follow
 // from the used set, and the last data node matters because Property 4
@@ -321,9 +310,13 @@ func (c *ctx) Hash(s *state) uint64 {
 // Same reports whether a and b have equal dominance keys.
 func (c *ctx) Same(a, b *state) bool { return a.d == b.d && a.used.Equal(b.used) }
 
-func (c *ctx) Cost(s *state) float64  { return s.v }
-func (c *ctx) Bound(s *state) float64 { return c.bound(s.used, s.pos) }
-func (c *ctx) Goal(s *state) bool     { return s.used.Len() == len(c.dataIDs) }
+// Bound is the release-time relaxation on one channel (tree.ReleaseBound):
+// broadcast position plays the role of slot, and a data node waits for its
+// uncovered ancestors.
+func (c *ctx) Bound(s *state) float64 { return c.rel.Cost(s.used, s.covered, s.pos, 1) }
+
+func (c *ctx) Cost(s *state) float64 { return s.v }
+func (c *ctx) Goal(s *state) bool    { return s.used.Len() == len(c.dataIDs) }
 
 // Expand is the successor step of the data tree: every unused data node
 // with no heavier unused sibling (Lemma 3) — only the heaviest remaining

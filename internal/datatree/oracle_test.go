@@ -189,7 +189,7 @@ func oracleSearch(t *tree.Tree, opt Options) (*Result, error) {
 	}
 
 	root := &oracleState{used: bitset.New(c.n), covered: bitset.New(c.n)}
-	root.f = c.bound(root.used, 0)
+	root.f = c.rel.Cost(root.used, root.covered, 0, 1)
 	push(root, oracleDomHash(root.used, tree.None), nil)
 
 	for q.Len() > 0 {
@@ -238,7 +238,7 @@ func oracleSearch(t *tree.Tree, opt Options) (*Result, error) {
 			for _, a := range ni.nanc {
 				next.covered.Add(int(a))
 			}
-			next.f = next.v + c.bound(next.used, next.pos)
+			next.f = next.v + c.rel.Cost(next.used, next.covered, next.pos, 1)
 			push(next, nh, e)
 		}
 	}

@@ -1,19 +1,237 @@
 package topo
 
 import (
+	"math/bits"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/bestfirst"
 	"repro/internal/bitset"
+	"repro/internal/searchstats"
 	"repro/internal/stats"
 	"repro/internal/tree"
 	"repro/internal/workload"
 )
 
-// TestQuickBoundsAdmissible verifies both completion bounds directly: for
+// packedBound is the bound TightBound selected before the release-time
+// relaxation, kept as an oracle: the remaining data, heaviest first, k per
+// slot from slot depth+1, each ignoring its unplaced ancestors.
+func (g *gen) packedBound(placed bitset.Set, depth int) float64 {
+	var sum float64
+	i := 0
+	for _, id := range g.dataDesc {
+		if placed.Contains(int(id)) {
+			continue
+		}
+		sum += g.t.Weight(id) * float64(depth+1+i/g.k)
+		i++
+	}
+	return sum
+}
+
+// packedSpace is the topological tree searched with the packed bound.
+type packedSpace struct{ *gen }
+
+func (p packedSpace) Bound(s *state) float64 { return p.packedBound(s.placed, s.depth) }
+
+// searchPacked is Search with TightBound's packed bound in place of the
+// release-time bound.
+func searchPacked(t *tree.Tree, opt Options) (*Result, error) {
+	opt.TightBound = true
+	g, err := newGen(t, opt)
+	if err != nil {
+		return nil, err
+	}
+	res := &Result{}
+	g.stats = &res.Stats
+	goal, ok, err := bestfirst.Search[*state](packedSpace{g}, g.root(), opt.MaxExpanded, &res.Stats)
+	if err != nil || !ok {
+		return nil, err
+	}
+	return finish(g, goal, res)
+}
+
+// checkedSpace calls check on every state the search bounds.
+type checkedSpace struct {
+	*gen
+	check func(s *state)
+}
+
+func (c checkedSpace) Bound(s *state) float64 { c.check(s); return c.gen.Bound(s) }
+
+// completion is the exact cost to go from every reachable placed set of a
+// tree of at most 64 nodes, by exhaustive recursion over Algorithm 1's
+// successors (every min(k, |S|)-subset of the available nodes S). cost(m)
+// is the least Σ W·(slot − depth) over the completions of placed set m;
+// from a state at depth d the remaining wait is cost(m) + d·rest(m).
+type completion struct {
+	g    *gen
+	memo map[uint64]float64
+	buf  []tree.ID
+}
+
+func (c *completion) rest(m uint64) float64 {
+	var w float64
+	for _, d := range c.g.dataDesc {
+		if m&(1<<d) == 0 {
+			w += c.g.t.Weight(d)
+		}
+	}
+	return w
+}
+
+func (c *completion) cost(m uint64) float64 {
+	if bits.OnesCount64(m) == c.g.n {
+		return 0
+	}
+	if v, ok := c.memo[m]; ok {
+		return v
+	}
+	start := len(c.buf)
+	for i := 0; i < c.g.n; i++ {
+		if p := c.g.t.Parent(tree.ID(i)); m&(1<<i) == 0 && (p == tree.None || m&(1<<p) != 0) {
+			c.buf = append(c.buf, tree.ID(i))
+		}
+	}
+	avail := c.buf[start:]
+	best := -1.0
+	var pick func(from int, comp uint64, size int)
+	pick = func(from int, comp uint64, size int) {
+		if size == min(c.g.k, len(avail)) {
+			v := c.rest(m|comp) + c.cost(m|comp)
+			for _, id := range avail {
+				if comp&(1<<id) != 0 && c.g.t.IsData(id) {
+					v += c.g.t.Weight(id)
+				}
+			}
+			if best < 0 || v < best {
+				best = v
+			}
+			return
+		}
+		for i := from; i < len(avail); i++ {
+			pick(i+1, comp|1<<avail[i], size+1)
+		}
+	}
+	pick(0, 0, 0)
+	c.buf = c.buf[:start]
+	c.memo[m] = best
+	return best
+}
+
+func mask(s bitset.Set, n int) uint64 {
+	var m uint64
+	for i := 0; i < n; i++ {
+		if s.Contains(i) {
+			m |= 1 << i
+		}
+	}
+	return m
+}
+
+// TestReleaseBoundAdmissible checks U(X) on every state the search bounds,
+// over 1,000 seeded small trees at k = 1–4 under Exact's and all prunes:
+// the paper's U(X) ≤ the packed bound ≤ the release-time bound ≤ the exact
+// cost to go, found by exhaustive search. On one state per tree and k,
+// Bound allocates nothing.
+func TestReleaseBoundAdmissible(t *testing.T) {
+	trees, states := 0, 0
+	for i, tr := range engineCorpus(t, 1300) {
+		if trees == 1000 {
+			break
+		}
+		if tr.NumNodes() > 15 {
+			continue
+		}
+		trees++
+		for k := 1; k <= 4; k++ {
+			for _, p := range []Prune{{Property1: true, DataRank: true}, AllPrunes()} {
+				g, err := newGen(tr, Options{Channels: k, Prune: p, TightBound: true})
+				if err != nil {
+					t.Fatal(err)
+				}
+				loose, err := newGen(tr, Options{Channels: k, Prune: p})
+				if err != nil {
+					t.Fatal(err)
+				}
+				opt := &completion{g: g, memo: map[uint64]float64{}}
+				allocs := false
+				check := func(s *state) {
+					states++
+					m := mask(s.placed, g.n)
+					togo := opt.cost(m) + float64(s.depth)*opt.rest(m)
+					u0, packed, rel := loose.Bound(s), g.packedBound(s.placed, s.depth), g.Bound(s)
+					if !(u0 <= packed+1e-9 && packed <= rel+1e-9 && rel <= togo+1e-9) {
+						t.Fatalf("tree %d k=%d prune=%+v depth %d placed %v: paper %g packed %g release %g cost to go %g",
+							i, k, p, s.depth, s.placed, u0, packed, rel, togo)
+					}
+					if !allocs && rel > 0 {
+						allocs = true
+						if n := testing.AllocsPerRun(10, func() { g.Bound(s) }); n != 0 {
+							t.Fatalf("tree %d k=%d: Bound allocates %v times", i, k, n)
+						}
+					}
+				}
+				var st searchstats.Stats
+				if _, ok, err := bestfirst.Search[*state](checkedSpace{g, check}, g.root(), 0, &st); err != nil || !ok {
+					t.Fatalf("tree %d k=%d: search failed: ok=%v err=%v", i, k, ok, err)
+				}
+			}
+		}
+	}
+	if trees < 1000 {
+		t.Fatalf("only %d trees small enough for the exhaustive check", trees)
+	}
+	t.Logf("%d trees, %d states checked", trees, states)
+}
+
+// TestReleaseBoundSameOptimum holds the release-time search to the packed
+// bound's on the engine corpus, k = 1–4, under Exact's and all prunes:
+// the optimum cost is equal on every tree, and each tree family expands
+// no more states in sum. Single trees that expand more are logged.
+func TestReleaseBoundSameOptimum(t *testing.T) {
+	// engineCorpus cycles through Fig. 1 or m-ary, random, random and
+	// Hu–Tucker shapes.
+	family := []string{"fig1/m-ary", "random", "hu-tucker"}
+	var release, packed [3]int
+	for i, tr := range engineCorpus(t, 1000) {
+		for k := 1; k <= 4; k++ {
+			for _, p := range []Prune{{Property1: true, DataRank: true}, AllPrunes()} {
+				opt := Options{Channels: k, Prune: p, TightBound: true}
+				got, err := Search(tr, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := searchPacked(tr, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got.Cost != want.Cost {
+					t.Fatalf("tree %d k=%d prune=%+v: release-time cost %v, packed %v", i, k, p, got.Cost, want.Cost)
+				}
+				f := [4]int{0, 1, 1, 2}[i%4]
+				release[f] += got.Expanded
+				packed[f] += want.Expanded
+				if got.Expanded > want.Expanded {
+					t.Logf("tree %d (%s) k=%d prune=%+v: %d expansions, packed %d",
+						i, family[f], k, p, got.Expanded, want.Expanded)
+				}
+			}
+		}
+	}
+	for f, name := range family {
+		t.Logf("%s: expanded %d, packed %d", name, release[f], packed[f])
+		if release[f] > packed[f] {
+			t.Errorf("%s: release-time bound expands %d states, packed %d", name, release[f], packed[f])
+		}
+	}
+}
+
+// TestQuickBoundsAdmissible verifies the completion bounds directly: for
 // random reachable prefixes of random trees, neither the paper's U(X) nor
-// the packed bound ever exceeds the true optimal completion cost, and the
-// packed bound dominates the paper's.
+// the release-time bound ever exceeds the true optimal completion cost,
+// and the release-time bound dominates the packed bound, which dominates
+// the paper's.
 func TestQuickBoundsAdmissible(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := stats.NewRNG(seed)
@@ -25,7 +243,11 @@ func TestQuickBoundsAdmissible(t *testing.T) {
 			return false
 		}
 		k := 1 + rng.Intn(2)
-		g, err := newGen(tr, Options{Channels: k})
+		g, err := newGen(tr, Options{Channels: k, TightBound: true})
+		if err != nil {
+			return false
+		}
+		loose, err := newGen(tr, Options{Channels: k})
 		if err != nil {
 			return false
 		}
@@ -73,15 +295,16 @@ func TestQuickBoundsAdmissible(t *testing.T) {
 		if best < 0 {
 			return true // dead prefix (cannot happen with NoPrunes)
 		}
-		loose := g.bound(placed, depth, false)
-		tight := g.bound(placed, depth, true)
-		if loose > best+1e-9 || tight > best+1e-9 {
-			t.Logf("seed=%d: bounds loose=%g tight=%g exceed true completion %g",
-				seed, loose, tight, best)
+		u0 := loose.bound(placed, depth)
+		packed := g.packedBound(placed, depth)
+		rel := g.bound(placed, depth)
+		if u0 > best+1e-9 || rel > best+1e-9 {
+			t.Logf("seed=%d: bounds paper=%g release=%g exceed true completion %g",
+				seed, u0, rel, best)
 			return false
 		}
-		if tight < loose-1e-9 {
-			t.Logf("seed=%d: packed bound %g below paper bound %g", seed, tight, loose)
+		if packed < u0-1e-9 || rel < packed-1e-9 {
+			t.Logf("seed=%d: paper %g, packed %g, release %g out of order", seed, u0, packed, rel)
 			return false
 		}
 		return true

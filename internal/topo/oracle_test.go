@@ -107,7 +107,7 @@ func oracleSearch(t *tree.Tree, opt Options) (*Result, error) {
 	root.sorted = append(root.sorted[:0], t.Root())
 	root.depth = 1
 	root.v = g.compoundCost(root.compound, 1)
-	root.f = root.v + g.bound(root.placed, 1, opt.TightBound)
+	root.f = root.v + g.bound(root.placed, 1)
 	push(root, oracleDomHash(root.placed, root.depth, root.sorted), nil)
 
 	sortBuf := make([]tree.ID, 0, g.k)
@@ -174,7 +174,7 @@ func oracleSearch(t *tree.Tree, opt Options) (*Result, error) {
 			next.sorted = append(next.sorted[:0], sortBuf...)
 			next.depth = depth
 			next.v = v
-			next.f = v + g.bound(next.placed, depth, opt.TightBound)
+			next.f = v + g.bound(next.placed, depth)
 			next.parent = cur
 			push(next, nh, e)
 		})

@@ -89,7 +89,7 @@ func (g *gen) Same(a, b *state) bool {
 }
 
 func (g *gen) Cost(s *state) float64  { return s.v }
-func (g *gen) Bound(s *state) float64 { return g.bound(s.placed, s.depth, g.tight) }
+func (g *gen) Bound(s *state) float64 { return g.bound(s.placed, s.depth) }
 func (g *gen) Goal(s *state) bool     { return s.placed.Equal(g.all) }
 
 // root returns the tree's root state: the index root alone in slot 1.

@@ -63,10 +63,13 @@ type Options struct {
 	Channels int
 	// Prune selects the active pruning rules.
 	Prune Prune
-	// TightBound uses the packed admissible bound (remaining data sorted
-	// descending, k per slot) instead of the paper's U(X) which assumes
-	// all remaining data sit at the very next slot. Both are admissible;
-	// the packed bound dominates the paper's.
+	// TightBound uses the release-time bound instead of the paper's
+	// U(X), which puts all remaining data at the very next slot. An
+	// unplaced data node is released one slot later per unplaced
+	// ancestor, and the heaviest released nodes take the slots first,
+	// k per slot (tree.ReleaseBound). Both bounds are admissible; the
+	// release-time bound dominates the paper's, so the search finds the
+	// same optimum cost with fewer expansions.
 	TightBound bool
 	// MaxExpanded aborts the search after this many expansions (0 = no
 	// limit), returning an error. A safety valve for huge instances.
@@ -100,8 +103,9 @@ type gen struct {
 	n     int
 	all   bitset.Set // every node ID
 
-	indexSet bitset.Set // all index node IDs
-	dataDesc []tree.ID  // data IDs sorted by descending weight
+	indexSet bitset.Set        // all index node IDs
+	dataDesc []tree.ID         // data IDs sorted by descending weight
+	rel      tree.ReleaseBound // U(X) under TightBound
 
 	stats *searchstats.Stats // counters of the running search (nil outside Search)
 
@@ -128,6 +132,9 @@ func newGen(t *tree.Tree, opt Options) (*gen, error) {
 		}
 	}
 	g.dataDesc = t.SortedDataByWeight()
+	if g.tight {
+		g.rel = tree.NewReleaseBound(t, g.dataDesc)
+	}
 	return g, nil
 }
 
@@ -178,29 +185,21 @@ func (g *gen) tail(s *state) [][]tree.ID {
 	return levels
 }
 
-// bound returns an admissible lower bound on the remaining weighted wait
-// from a state at the given depth. It iterates the weight-sorted data list
-// directly instead of materializing the remaining set — this runs once per
-// generated state and must not allocate.
-func (g *gen) bound(placed bitset.Set, depth int, tight bool) float64 {
-	var sum, w float64
-	i := 0
+// bound returns U(X), an admissible lower bound on the remaining weighted
+// wait from a state at the given depth: the release-time relaxation under
+// TightBound, else the paper's U(X), every remaining data node in the very
+// next slot. It runs once per generated state and does not allocate.
+func (g *gen) bound(placed bitset.Set, depth int) float64 {
+	if g.tight {
+		return g.rel.Cost(placed, placed, depth, g.k)
+	}
+	var w float64
 	for _, id := range g.dataDesc {
-		if placed.Contains(int(id)) {
-			continue
-		}
-		if tight {
-			sum += g.t.Weight(id) * float64(depth+1+i/g.k)
-		} else {
-			// The paper's U(X): every remaining data node right after X.
+		if !placed.Contains(int(id)) {
 			w += g.t.Weight(id)
 		}
-		i++
 	}
-	if !tight {
-		return w * float64(depth+1)
-	}
-	return sum
+	return w * float64(depth+1)
 }
 
 // completionCostRemaining returns the number of unplaced data nodes and the

@@ -99,20 +99,30 @@ func (t *Tree) Keyed() bool { return t.keyed }
 // TotalWeight returns the sum of all data-node weights.
 func (t *Tree) TotalWeight() float64 { return t.totalWeight }
 
+// check panics unless id names a node. The unsigned compare also catches
+// negative IDs; the panic lives in badID so check, and every accessor
+// that calls it, stays small enough to inline.
 func (t *Tree) check(id ID) {
-	if id < 0 || int(id) >= len(t.nodes) {
-		panic(fmt.Sprintf("tree: ID %d out of range [0,%d)", id, len(t.nodes)))
+	if uint(id) >= uint(len(t.nodes)) {
+		t.badID(id)
 	}
+}
+
+// badID is check's cold path, kept out of line.
+//
+//go:noinline
+func (t *Tree) badID(id ID) {
+	panic(fmt.Sprintf("tree: ID %d out of range [0,%d)", id, len(t.nodes)))
 }
 
 // Kind returns the node's kind.
 func (t *Tree) Kind(id ID) Kind { t.check(id); return t.nodes[id].kind }
 
 // IsData reports whether id is a data node.
-func (t *Tree) IsData(id ID) bool { return t.Kind(id) == Data }
+func (t *Tree) IsData(id ID) bool { t.check(id); return t.nodes[id].kind == Data }
 
 // IsIndex reports whether id is an index node.
-func (t *Tree) IsIndex(id ID) bool { return t.Kind(id) == Index }
+func (t *Tree) IsIndex(id ID) bool { t.check(id); return t.nodes[id].kind == Index }
 
 // Label returns the node's human-readable label.
 func (t *Tree) Label(id ID) string { t.check(id); return t.nodes[id].label }

@@ -382,6 +382,31 @@ func TestOutOfRangePanics(t *testing.T) {
 	tr.Kind(99)
 }
 
+// TestOutOfRangePanicMessage: negative IDs fail the unsigned range check
+// too, and every accessor panics with the ID and the valid range.
+func TestOutOfRangePanicMessage(t *testing.T) {
+	tr := Fig1()
+	for _, c := range []struct {
+		name string
+		call func()
+		want string
+	}{
+		{"Parent(-1)", func() { tr.Parent(-1) }, "tree: ID -1 out of range [0,9)"},
+		{"Weight(9)", func() { tr.Weight(9) }, "tree: ID 9 out of range [0,9)"},
+		{"IsData(-5)", func() { tr.IsData(-5) }, "tree: ID -5 out of range [0,9)"},
+		{"Level(100)", func() { tr.Level(100) }, "tree: ID 100 out of range [0,9)"},
+	} {
+		func() {
+			defer func() {
+				if got := recover(); got != c.want {
+					t.Errorf("%s panicked with %v, want %q", c.name, got, c.want)
+				}
+			}()
+			c.call()
+		}()
+	}
+}
+
 func BenchmarkBuildFig1(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
