@@ -1,9 +1,54 @@
 package main
 
 import (
+	"bytes"
+	"flag"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
+
+var update = flag.Bool("update", false, "rewrite the golden files under testdata")
+
+// TestAllSeed1Golden pins every byte of bcast-bench -exp all -seed 1 (the
+// default -max-m and trial counts), so an experiment with no golden of its
+// own, such as A2's search counters, cannot move unseen. Output is the same
+// for any worker count; one worker keeps the run small. Regenerate with
+// go test ./cmd/bcast-bench -run TestAllSeed1Golden -update only when a
+// change to an experiment's output is intended, and say which lines moved.
+func TestAllSeed1Golden(t *testing.T) {
+	var buf bytes.Buffer
+	if err := run(options{exp: "all", seed: 1, maxM: 5, workers: 1}, &buf); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join("testdata", "all_seed1.golden")
+	if *update {
+		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := buf.Bytes(); !bytes.Equal(got, want) {
+		gl, wl := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
+		for i := 0; i < max(len(gl), len(wl)); i++ {
+			g, w := "", ""
+			if i < len(gl) {
+				g = gl[i]
+			}
+			if i < len(wl) {
+				w = wl[i]
+			}
+			if g != w {
+				t.Errorf("line %d:\ngot:  %s\nwant: %s", i+1, g, w)
+			}
+		}
+	}
+}
 
 func TestRunEachExperiment(t *testing.T) {
 	cases := []struct {
