@@ -51,6 +51,59 @@ func searchPacked(t *tree.Tree, opt Options) (*Result, error) {
 	return finish(g, goal, res)
 }
 
+// releaseBound is the release-time relaxation alone, the bound TightBound
+// selected before the index-capacity term, kept as an oracle: each
+// unplaced data node is released one slot after its last unplaced
+// ancestor, and each slot from depth+1 takes the k heaviest released
+// nodes not yet taken.
+func (g *gen) releaseBound(placed bitset.Set, depth int) float64 {
+	var rel []int // release slot of each unplaced node, heaviest first; 0 once taken
+	var w []float64
+	for _, d := range g.dataDesc {
+		if placed.Contains(int(d)) {
+			continue
+		}
+		r := depth + 1
+		for p := g.t.Parent(d); p != tree.None && !placed.Contains(int(p)); p = g.t.Parent(p) {
+			r++
+		}
+		rel, w = append(rel, r), append(w, g.t.Weight(d))
+	}
+	var sum float64
+	for slot, left := depth+1, len(rel); left > 0; slot++ {
+		for i, n := 0, 0; i < len(rel) && n < g.k; i++ {
+			if rel[i] > 0 && rel[i] <= slot {
+				sum += w[i] * float64(slot)
+				rel[i], n, left = 0, n+1, left-1
+			}
+		}
+	}
+	return sum
+}
+
+// releaseSpace is the topological tree searched with the release-time
+// bound alone.
+type releaseSpace struct{ *gen }
+
+func (r releaseSpace) Bound(s *state) float64 { return r.releaseBound(s.placed, s.depth) }
+
+// searchRelease is Search with the release-time bound alone in place of
+// TightBound's.
+func searchRelease(t *tree.Tree, opt Options) (*Result, error) {
+	opt.TightBound = true
+	g, err := newGen(t, opt)
+	if err != nil {
+		return nil, err
+	}
+	res := &Result{}
+	g.stats = &res.Stats
+	goal, ok, err := bestfirst.Search[*state](releaseSpace{g}, g.root(), opt.MaxExpanded, &res.Stats)
+	if err != nil || !ok {
+		return nil, err
+	}
+	return finish(g, goal, res)
+}
+
 // checkedSpace calls check on every state the search bounds.
 type checkedSpace struct {
 	*gen
@@ -131,9 +184,10 @@ func mask(s bitset.Set, n int) uint64 {
 
 // TestReleaseBoundAdmissible checks U(X) on every state the search bounds,
 // over 1,000 seeded small trees at k = 1–4 under Exact's and all prunes:
-// the paper's U(X) ≤ the packed bound ≤ the release-time bound ≤ the exact
-// cost to go, found by exhaustive search. On one state per tree and k,
-// Bound allocates nothing.
+// the paper's U(X) ≤ the packed bound ≤ the release-time bound alone ≤
+// TightBound's (with the index-capacity term) ≤ the exact cost to go,
+// found by exhaustive search. On one state per tree and k, Bound allocates
+// nothing.
 func TestReleaseBoundAdmissible(t *testing.T) {
 	trees, states := 0, 0
 	for i, tr := range engineCorpus(t, 1300) {
@@ -160,12 +214,13 @@ func TestReleaseBoundAdmissible(t *testing.T) {
 					states++
 					m := mask(s.placed, g.n)
 					togo := opt.cost(m) + float64(s.depth)*opt.rest(m)
-					u0, packed, rel := loose.Bound(s), g.packedBound(s.placed, s.depth), g.Bound(s)
-					if !(u0 <= packed+1e-9 && packed <= rel+1e-9 && rel <= togo+1e-9) {
-						t.Fatalf("tree %d k=%d prune=%+v depth %d placed %v: paper %g packed %g release %g cost to go %g",
-							i, k, p, s.depth, s.placed, u0, packed, rel, togo)
+					u0, packed := loose.Bound(s), g.packedBound(s.placed, s.depth)
+					rel, u := g.releaseBound(s.placed, s.depth), g.Bound(s)
+					if !(u0 <= packed+1e-9 && packed <= rel+1e-9 && rel <= u+1e-9 && u <= togo+1e-9) {
+						t.Fatalf("tree %d k=%d prune=%+v depth %d placed %v: paper %g packed %g release %g bound %g cost to go %g",
+							i, k, p, s.depth, s.placed, u0, packed, rel, u, togo)
 					}
-					if !allocs && rel > 0 {
+					if !allocs && u > 0 {
 						allocs = true
 						if n := testing.AllocsPerRun(10, func() { g.Bound(s) }); n != 0 {
 							t.Fatalf("tree %d k=%d: Bound allocates %v times", i, k, n)
@@ -185,15 +240,16 @@ func TestReleaseBoundAdmissible(t *testing.T) {
 	t.Logf("%d trees, %d states checked", trees, states)
 }
 
-// TestReleaseBoundSameOptimum holds the release-time search to the packed
-// bound's on the engine corpus, k = 1–4, under Exact's and all prunes:
-// the optimum cost is equal on every tree, and each tree family expands
-// no more states in sum. Single trees that expand more are logged.
+// TestReleaseBoundSameOptimum holds the search under TightBound's bound to
+// the one under the release-time bound alone, on the engine corpus, k =
+// 1–4, under Exact's and all prunes: the optimum cost is equal on every
+// tree, and each tree family expands no more states in sum. Single trees
+// that expand more are logged.
 func TestReleaseBoundSameOptimum(t *testing.T) {
 	// engineCorpus cycles through Fig. 1 or m-ary, random, random and
 	// Hu–Tucker shapes.
 	family := []string{"fig1/m-ary", "random", "hu-tucker"}
-	var release, packed [3]int
+	var bound, release [3]int
 	for i, tr := range engineCorpus(t, 1000) {
 		for k := 1; k <= 4; k++ {
 			for _, p := range []Prune{{Property1: true, DataRank: true}, AllPrunes()} {
@@ -202,36 +258,36 @@ func TestReleaseBoundSameOptimum(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				want, err := searchPacked(tr, opt)
+				want, err := searchRelease(tr, opt)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if got.Cost != want.Cost {
-					t.Fatalf("tree %d k=%d prune=%+v: release-time cost %v, packed %v", i, k, p, got.Cost, want.Cost)
+					t.Fatalf("tree %d k=%d prune=%+v: cost %v, release-time bound alone %v", i, k, p, got.Cost, want.Cost)
 				}
 				f := [4]int{0, 1, 1, 2}[i%4]
-				release[f] += got.Expanded
-				packed[f] += want.Expanded
+				bound[f] += got.Expanded
+				release[f] += want.Expanded
 				if got.Expanded > want.Expanded {
-					t.Logf("tree %d (%s) k=%d prune=%+v: %d expansions, packed %d",
+					t.Logf("tree %d (%s) k=%d prune=%+v: %d expansions, release-time bound alone %d",
 						i, family[f], k, p, got.Expanded, want.Expanded)
 				}
 			}
 		}
 	}
 	for f, name := range family {
-		t.Logf("%s: expanded %d, packed %d", name, release[f], packed[f])
-		if release[f] > packed[f] {
-			t.Errorf("%s: release-time bound expands %d states, packed %d", name, release[f], packed[f])
+		t.Logf("%s: expanded %d, release-time bound alone %d", name, bound[f], release[f])
+		if bound[f] > release[f] {
+			t.Errorf("%s: the bound expands %d states, the release-time bound alone %d", name, bound[f], release[f])
 		}
 	}
 }
 
 // TestQuickBoundsAdmissible verifies the completion bounds directly: for
 // random reachable prefixes of random trees, neither the paper's U(X) nor
-// the release-time bound ever exceeds the true optimal completion cost,
-// and the release-time bound dominates the packed bound, which dominates
-// the paper's.
+// TightBound's ever exceeds the true optimal completion cost, and
+// TightBound's dominates the release-time bound alone, which dominates the
+// packed bound, which dominates the paper's.
 func TestQuickBoundsAdmissible(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := stats.NewRNG(seed)
@@ -296,15 +352,15 @@ func TestQuickBoundsAdmissible(t *testing.T) {
 			return true // dead prefix (cannot happen with NoPrunes)
 		}
 		u0 := loose.bound(placed, depth)
-		packed := g.packedBound(placed, depth)
-		rel := g.bound(placed, depth)
-		if u0 > best+1e-9 || rel > best+1e-9 {
-			t.Logf("seed=%d: bounds paper=%g release=%g exceed true completion %g",
-				seed, u0, rel, best)
+		packed, rel := g.packedBound(placed, depth), g.releaseBound(placed, depth)
+		u := g.bound(placed, depth)
+		if u0 > best+1e-9 || u > best+1e-9 {
+			t.Logf("seed=%d: bounds paper=%g tight=%g exceed true completion %g",
+				seed, u0, u, best)
 			return false
 		}
-		if packed < u0-1e-9 || rel < packed-1e-9 {
-			t.Logf("seed=%d: paper %g, packed %g, release %g out of order", seed, u0, packed, rel)
+		if packed < u0-1e-9 || rel < packed-1e-9 || u < rel-1e-9 {
+			t.Logf("seed=%d: paper %g, packed %g, release %g, tight %g out of order", seed, u0, packed, rel, u)
 			return false
 		}
 		return true
