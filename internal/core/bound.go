@@ -2,27 +2,31 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
+	"repro/internal/bitset"
 	"repro/internal/tree"
 )
 
 // LowerBound returns a provable lower bound on the optimal average data
-// wait of t over k channels, computable in O(n log n) for instances far
-// beyond exact-search reach. It is the larger of two relaxations:
+// wait of t over k channels, computable in O(n·depth) for instances far
+// beyond exact-search reach. It is the exact search's bound U(X)
+// (tree.ReleaseBound) at the state after slot 1, where only the root is
+// placed, and so the larger of two relaxations:
 //
-//   - capacity: slot 1 carries only the root (nothing else has its parent
-//     placed), and each later slot carries at most k buckets, so the j-th
-//     data node to appear sits at slot ≥ 1 + ⌈j/k⌉; weights are matched
-//     to slots greedily (heaviest earliest), which minimizes the sum by
-//     the rearrangement inequality.
-//   - depth: every data node D must follow all Level(D)−1 of its
-//     ancestors in strictly increasing slots, so T(D) ≥ Level(D).
+//   - release time: every data node D must follow all Level(D)−1 of its
+//     ancestors in strictly increasing slots, so it is released at slot
+//     Level(D), and each slot carries at most k data nodes;
+//   - index capacity: each slot after the root's carries at most k
+//     buckets, and the first j data nodes to air share those slots with
+//     the index ancestors they need.
 //
-// Both relaxations drop constraints of the real problem, so each bound —
-// and hence their maximum — never exceeds the true optimum. With k at
-// least the tree's maximum level width, the depth bound is tight
-// (Corollary 1's allocation achieves it).
+// Both drop constraints of the real problem, so each bound — and hence
+// their maximum — never exceeds the true optimum. They contain the two
+// older relaxations: Σ W·Level(D) (the depth bound) is what the release
+// times alone give, and the j-th data node at slot ≥ 1 + ⌈j/k⌉ (the
+// capacity bound) is the index-capacity term without the index nodes.
+// With k at least the tree's maximum level width, the release-time bound
+// is tight (Corollary 1's allocation achieves it).
 func LowerBound(t *tree.Tree, k int) (float64, error) {
 	if k < 1 {
 		return 0, fmt.Errorf("core: %d channels", k)
@@ -31,32 +35,12 @@ func LowerBound(t *tree.Tree, k int) (float64, error) {
 	if total == 0 {
 		return 0, nil
 	}
-
-	// Capacity bound.
-	weights := make([]float64, 0, t.NumData())
-	for _, d := range t.DataIDs() {
-		weights = append(weights, t.Weight(d))
+	root := t.Root()
+	if t.IsData(root) { // a single data node, at slot 1
+		return 1, nil
 	}
-	sort.Sort(sort.Reverse(sort.Float64Slice(weights)))
-	var capSum float64
-	for j, w := range weights {
-		slot := 1 + (j+k)/k // 1 + ceil((j+1)/k) with j 0-based
-		capSum += w * float64(slot)
-	}
-	// A single-node tree has its (root) data at slot 1.
-	if t.NumNodes() == 1 {
-		capSum = total
-	}
-
-	// Depth bound.
-	var lvlSum float64
-	for _, d := range t.DataIDs() {
-		lvlSum += t.Weight(d) * float64(t.Level(d))
-	}
-
-	lb := capSum
-	if lvlSum > lb {
-		lb = lvlSum
-	}
-	return lb / total, nil
+	placed := bitset.New(t.NumNodes())
+	placed.Add(int(root))
+	r := tree.NewReleaseBound(t, t.SortedDataByWeight())
+	return r.Cost(placed, placed, 1, k) / total, nil
 }

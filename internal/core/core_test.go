@@ -253,7 +253,7 @@ func TestLowerBoundFig1(t *testing.T) {
 			t.Fatalf("k=%d: bound %g below 1 slot", k, lb)
 		}
 	}
-	// Corollary 1 regime: the depth bound is tight.
+	// Corollary 1 regime: the release-time bound is tight.
 	lb, err := LowerBound(tr, 4)
 	if err != nil {
 		t.Fatal(err)

@@ -18,6 +18,7 @@ import (
 
 	"repro/internal/alloc"
 	"repro/internal/baseline"
+	"repro/internal/core"
 	"repro/internal/datatree"
 	"repro/internal/heuristic"
 	"repro/internal/sim"
@@ -496,7 +497,8 @@ type HeuristicQualityConfig struct {
 }
 
 // HeuristicQuality measures Sorting, Shrinking, Partitioning and a random
-// feasible allocation against the single-channel optimum.
+// feasible allocation against the single-channel optimum. Any trial whose
+// optimum or heuristic result falls below core.LowerBound fails the sweep.
 func HeuristicQuality(cfg HeuristicQualityConfig) ([]QualityPoint, error) {
 	if cfg.NumData == 0 {
 		cfg.NumData = 9
@@ -518,10 +520,20 @@ func HeuristicQuality(cfg HeuristicQualityConfig) ([]QualityPoint, error) {
 		if err != nil {
 			return nil, err
 		}
+		bound, err := core.LowerBound(tr, 1)
+		if err != nil {
+			return nil, err
+		}
+		if opt.Cost < bound-1e-9 {
+			return nil, fmt.Errorf("experiment: optimum %v below the lower bound %v in trial %d", opt.Cost, bound, trial)
+		}
 		out := make(map[string]float64, len(names))
 		record := func(name string, a *alloc.Allocation, err error) error {
 			if err != nil {
 				return err
+			}
+			if a.DataWait() < bound-1e-9 {
+				return fmt.Errorf("experiment: %s beat the lower bound in trial %d", name, trial)
 			}
 			out[name] = a.DataWait() / opt.Cost
 			return nil
