@@ -1,6 +1,9 @@
 package analysis
 
-import "testing"
+import (
+	"go/types"
+	"testing"
+)
 
 // TestRepoComesUpClean is the acceptance gate in test form: the whole
 // module — test files included — must pass every analyzer. It doubles
@@ -71,4 +74,38 @@ func TestLoadPatternFiltering(t *testing.T) {
 			t.Errorf("unexpected unit %s", u.Path)
 		}
 	}
+}
+
+// TestLoadDirXTestSeesExportTest loads a package whose external test
+// package calls a method declared in export_test.go, on values from the
+// package itself and from a package that imports it. As under go test,
+// both must type-check against the package with its in-package test
+// files.
+func TestLoadDirXTestSeesExportTest(t *testing.T) {
+	root, err := FindModuleRoot(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := NewLoader(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const path = "repro/internal/analysis/testdata/src/xtest"
+	units, err := l.LoadDir("testdata/src/xtest", path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(units) != 2 || units[1].Path != path+".test" {
+		t.Fatalf("want the package and its external test package, got %d units", len(units))
+	}
+	for _, imp := range units[1].Pkg.Imports() {
+		if imp.Path() != path {
+			continue
+		}
+		if obj, _, _ := types.LookupFieldOrMethod(imp.Scope().Lookup("T").Type(), true, nil, "N"); obj == nil {
+			t.Error("the external test package's xtest.T has no method N")
+		}
+		return
+	}
+	t.Error("the external test package does not import xtest")
 }

@@ -105,10 +105,20 @@ func FindModuleRoot(dir string) (string, error) {
 // paths from source under the module root, the rest through the
 // standard-library source importer.
 func (l *Loader) Import(path string) (*types.Package, error) {
-	if path == l.ModPath || strings.HasPrefix(path, l.ModPath+"/") {
+	if l.local(path) {
 		return l.loadBase(path)
 	}
 	return l.std.Import(path)
+}
+
+// local reports whether path names a package of the module.
+func (l *Loader) local(path string) bool {
+	return path == l.ModPath || strings.HasPrefix(path, l.ModPath+"/")
+}
+
+// dir returns the directory of the module-local package path.
+func (l *Loader) dir(path string) string {
+	return filepath.Join(l.ModRoot, filepath.FromSlash(strings.TrimPrefix(strings.TrimPrefix(path, l.ModPath), "/")))
 }
 
 // loadBase type-checks the non-test files of a module-local package,
@@ -123,7 +133,7 @@ func (l *Loader) loadBase(path string) (*types.Package, error) {
 	l.loading[path] = true
 	defer delete(l.loading, path)
 
-	dir := filepath.Join(l.ModRoot, filepath.FromSlash(strings.TrimPrefix(strings.TrimPrefix(path, l.ModPath), "/")))
+	dir := l.dir(path)
 	base, _, _, err := l.parseDir(dir)
 	if err != nil {
 		return nil, err
@@ -131,7 +141,7 @@ func (l *Loader) loadBase(path string) (*types.Package, error) {
 	if len(base) == 0 {
 		return nil, fmt.Errorf("analysis: no Go files in %s", dir)
 	}
-	pkg, _, err := l.check(path, base)
+	pkg, _, err := l.check(path, base, importerFunc(l.Import))
 	if err != nil {
 		return nil, err
 	}
@@ -171,8 +181,9 @@ func (l *Loader) parseDir(dir string) (base, tests, xtests []*ast.File, err erro
 	return base, tests, xtests, nil
 }
 
-// check type-checks one set of files as a package.
-func (l *Loader) check(path string, files []*ast.File) (*types.Package, *types.Info, error) {
+// check type-checks one set of files as a package, resolving its imports
+// through imp.
+func (l *Loader) check(path string, files []*ast.File, imp types.Importer) (*types.Package, *types.Info, error) {
 	info := &types.Info{
 		Types:      map[ast.Expr]types.TypeAndValue{},
 		Defs:       map[*ast.Ident]types.Object{},
@@ -183,7 +194,7 @@ func (l *Loader) check(path string, files []*ast.File) (*types.Package, *types.I
 	}
 	var errs []error
 	conf := types.Config{
-		Importer: importerFunc(l.Import),
+		Importer: imp,
 		Error:    func(err error) { errs = append(errs, err) },
 	}
 	pkg, err := conf.Check(path, l.Fset, files, info)
@@ -204,29 +215,78 @@ func (f importerFunc) Import(path string) (*types.Package, error) { return f(pat
 // package together with its in-package tests, plus the external test
 // package when present. importPath is the path the unit is checked
 // under (fixtures declare synthetic paths to opt in to path-scoped
-// analyzers).
+// analyzers). As under go test, the external test package sees the
+// package with its in-package test files, so it may use what an
+// export_test.go declares.
 func (l *Loader) LoadDir(dir, importPath string) ([]*Unit, error) {
 	base, tests, xtests, err := l.parseDir(dir)
 	if err != nil {
 		return nil, err
 	}
 	var units []*Unit
+	imp := types.Importer(importerFunc(l.Import))
 	if len(base)+len(tests) > 0 {
 		files := append(append([]*ast.File{}, base...), tests...)
-		pkg, info, err := l.check(importPath, files)
+		pkg, info, err := l.check(importPath, files, imp)
 		if err != nil {
 			return nil, err
 		}
 		units = append(units, &Unit{Path: importPath, Dir: dir, Fset: l.Fset, Files: files, Pkg: pkg, Info: info})
+		imp = l.testImporter(pkg)
 	}
 	if len(xtests) > 0 {
-		pkg, info, err := l.check(importPath+".test", xtests)
+		pkg, info, err := l.check(importPath+".test", xtests, imp)
 		if err != nil {
 			return nil, err
 		}
 		units = append(units, &Unit{Path: importPath + ".test", Dir: dir, Fset: l.Fset, Files: xtests, Pkg: pkg, Info: info})
 	}
 	return units, nil
+}
+
+// testImporter resolves an external test package's imports as go test
+// does: under's own path gives under, the package checked with its
+// in-package test files, and every module-local package that imports
+// under, directly or not, is checked again against it, so the test sees
+// one version of each of under's types.
+func (l *Loader) testImporter(under *types.Package) types.Importer {
+	over := map[string]*types.Package{under.Path(): under}
+	var imp importerFunc
+	imp = func(path string) (*types.Package, error) {
+		if pkg, ok := over[path]; ok {
+			return pkg, nil
+		}
+		pkg, err := l.Import(path)
+		if err != nil || !l.local(path) || !imports(pkg, under.Path(), map[*types.Package]bool{}) {
+			return pkg, err
+		}
+		base, _, _, err := l.parseDir(l.dir(path))
+		if err != nil {
+			return nil, err
+		}
+		if pkg, _, err = l.check(path, base, imp); err != nil {
+			return nil, err
+		}
+		over[path] = pkg
+		return pkg, nil
+	}
+	return imp
+}
+
+// imports reports whether pkg imports path, directly or not.
+func imports(pkg *types.Package, path string, seen map[*types.Package]bool) bool {
+	for _, dep := range pkg.Imports() {
+		if dep.Path() == path {
+			return true
+		}
+		if !seen[dep] {
+			seen[dep] = true
+			if imports(dep, path, seen) {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // PackageDirs returns every package directory of the module, relative
