@@ -310,9 +310,9 @@ func (c *ctx) Hash(s *state) uint64 {
 // Same reports whether a and b have equal dominance keys.
 func (c *ctx) Same(a, b *state) bool { return a.d == b.d && a.used.Equal(b.used) }
 
-// Bound is the release-time relaxation on one channel (tree.ReleaseBound):
-// broadcast position plays the role of slot, and a data node waits for its
-// uncovered ancestors.
+// Bound is tree.ReleaseBound on one channel: broadcast position plays the
+// role of slot, a data node waits for its uncovered ancestors, and each
+// uncovered index node takes a position of its own.
 func (c *ctx) Bound(s *state) float64 { return c.rel.Cost(s.used, s.covered, s.pos, 1) }
 
 func (c *ctx) Cost(s *state) float64 { return s.v }

@@ -160,7 +160,7 @@ func treeLog(tr *tree.Tree, opt Options, maxNodes int,
 // TestEngineMatchesOracleOnReplanTrees repeats the comparison on the
 // instances an adaptive station's replans solve exactly: Hu–Tucker trees
 // over 12 keys with shuffled Zipf(1.0) weights, k = 3, Exact's prunes,
-// the release-time bound and a 20,000-expansion limit.
+// TightBound's bound and a 20,000-expansion limit.
 func TestEngineMatchesOracleOnReplanTrees(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 40; i++ {

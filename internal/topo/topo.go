@@ -63,13 +63,15 @@ type Options struct {
 	Channels int
 	// Prune selects the active pruning rules.
 	Prune Prune
-	// TightBound uses the release-time bound instead of the paper's
-	// U(X), which puts all remaining data at the very next slot. An
-	// unplaced data node is released one slot later per unplaced
-	// ancestor, and the heaviest released nodes take the slots first,
-	// k per slot (tree.ReleaseBound). Both bounds are admissible; the
-	// release-time bound dominates the paper's, so the search finds the
-	// same optimum cost with fewer expansions.
+	// TightBound uses tree.ReleaseBound instead of the paper's U(X),
+	// which puts all remaining data at the very next slot. It is the
+	// larger of two relaxations: release time (an unplaced data node is
+	// released one slot later per unplaced ancestor, and the heaviest
+	// released nodes take the slots first, k per slot) and index
+	// capacity (the unplaced index ancestors of the data aired so far
+	// take places in the same slots). Both bounds are admissible; the
+	// tighter one dominates the paper's, so the search finds the same
+	// optimum cost with fewer expansions.
 	TightBound bool
 	// MaxExpanded aborts the search after this many expansions (0 = no
 	// limit), returning an error. A safety valve for huge instances.
@@ -186,9 +188,9 @@ func (g *gen) tail(s *state) [][]tree.ID {
 }
 
 // bound returns U(X), an admissible lower bound on the remaining weighted
-// wait from a state at the given depth: the release-time relaxation under
-// TightBound, else the paper's U(X), every remaining data node in the very
-// next slot. It runs once per generated state and does not allocate.
+// wait from a state at the given depth: tree.ReleaseBound's release-time
+// and index-capacity relaxations under TightBound, else the paper's U(X),
+// every remaining data node in the very next slot. It runs once per generated state and does not allocate.
 func (g *gen) bound(placed bitset.Set, depth int) float64 {
 	if g.tight {
 		return g.rel.Cost(placed, placed, depth, g.k)
