@@ -263,7 +263,7 @@ func runAsync(universe, hot, k, periods, perP, shift int, theta, decay float64, 
 	var pmu sync.Mutex
 	var next []broadcast.HotKey
 	var built *plan
-	planner := epoch.NewPlannerOpts(context.Background(), reg, func(ctx context.Context) (*sim.Program, error) {
+	planner := epoch.NewPlanner(context.Background(), reg, func(ctx context.Context) (*sim.Program, error) {
 		pmu.Lock()
 		sel := append([]broadcast.HotKey(nil), next...)
 		pmu.Unlock()

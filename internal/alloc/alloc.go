@@ -72,16 +72,6 @@ func (a *Allocation) DataWait() float64 {
 	return sum / total
 }
 
-// WeightedWaitSum returns Σ W(D)·T(D), the un-normalized Formula-1
-// numerator used by the searches.
-func (a *Allocation) WeightedWaitSum() float64 {
-	var sum float64
-	for _, d := range a.t.DataIDs() {
-		sum += a.t.Weight(d) * float64(a.pos[d].Slot)
-	}
-	return sum
-}
-
 // Validate checks the feasibility conditions of Section 2.2: every node is
 // placed exactly once at an in-range position, no two nodes share a
 // position, and every child is broadcast at a strictly later slot than its
@@ -310,17 +300,4 @@ func FromPositions(t *tree.Tree, k int, pos []Position) (*Allocation, error) {
 		return nil, err
 	}
 	return a, nil
-}
-
-// SequenceCost computes the Formula-1 numerator Σ W·T for a single-channel
-// broadcast sequence without materializing an Allocation, used by search
-// inner loops: seq[i] is at slot i+1.
-func SequenceCost(t *tree.Tree, seq []tree.ID) float64 {
-	var sum float64
-	for i, id := range seq {
-		if t.IsData(id) {
-			sum += t.Weight(id) * float64(i+1)
-		}
-	}
-	return sum
 }

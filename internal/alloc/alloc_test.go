@@ -81,29 +81,6 @@ func TestFig2TwoChannels(t *testing.T) {
 	}
 }
 
-func TestWeightedWaitSumMatchesDataWait(t *testing.T) {
-	tr := tree.Fig1()
-	a, err := FromSequence(tr, ids(t, tr, "1", "2", "A", "B", "3", "E", "4", "C", "D"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := a.WeightedWaitSum()/tr.TotalWeight(), a.DataWait(); math.Abs(got-want) > 1e-12 {
-		t.Fatalf("WeightedWaitSum/total = %v, DataWait = %v", got, want)
-	}
-}
-
-func TestSequenceCostAgreesWithAllocation(t *testing.T) {
-	tr := tree.Fig1()
-	seq := ids(t, tr, "1", "3", "E", "4", "C", "D", "2", "A", "B")
-	a, err := FromSequence(tr, seq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := SequenceCost(tr, seq), a.WeightedWaitSum(); got != want {
-		t.Fatalf("SequenceCost = %v, want %v", got, want)
-	}
-}
-
 func TestValidateRejectsChildBeforeParent(t *testing.T) {
 	tr := tree.Fig1()
 	// A before its parent 2.

@@ -237,12 +237,6 @@ func indexLabels(n int) []string {
 	return strings.Split(string(buf), ",")
 }
 
-// OptimalAlphabetic builds the optimal alphabetic binary tree by the
-// O(n³) interval dynamic program (the oracle HuTucker is tested against).
-func OptimalAlphabetic(items []Item) (*tree.Tree, error) {
-	return OptimalKAry(items, 2)
-}
-
 // OptimalKAry builds the optimal alphabetic tree with node fanout at most
 // k by dynamic programming over item intervals: an interval either is a
 // single leaf or splits into 2..k consecutive sub-intervals, paying the

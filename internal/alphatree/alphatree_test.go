@@ -157,8 +157,8 @@ func TestOverflowingWeightsError(t *testing.T) {
 	builders := map[string]func([]Item) (*tree.Tree, error){
 		"HuTucker":                func(it []Item) (*tree.Tree, error) { return HuTucker(it) },
 		"Huffman":                 func(it []Item) (*tree.Tree, error) { return Huffman(it) },
-		"OptimalAlphabetic":       func(it []Item) (*tree.Tree, error) { return OptimalAlphabetic(it) },
-		"OptimalKAry":             func(it []Item) (*tree.Tree, error) { return OptimalKAry(it, 3) },
+		"OptimalKAry2":            func(it []Item) (*tree.Tree, error) { return OptimalKAry(it, 2) },
+		"OptimalKAry3":            func(it []Item) (*tree.Tree, error) { return OptimalKAry(it, 3) },
 		"OptimalKAryDepthLimited": func(it []Item) (*tree.Tree, error) { return OptimalKAryDepthLimited(it, 2, 2) },
 		"KAry":                    func(it []Item) (*tree.Tree, error) { return KAry(it, 2) },
 	}
@@ -212,7 +212,7 @@ func TestKAryFanoutRespected(t *testing.T) {
 	}
 }
 
-// Property: Hu-Tucker equals the O(n³) DP optimum (OptimalAlphabetic) on
+// Property: Hu-Tucker equals the O(n³) DP optimum (OptimalKAry at k = 2) on
 // random instances — the classical optimality of [HT71].
 func TestQuickHuTuckerOptimal(t *testing.T) {
 	f := func(seed int64) bool {
@@ -231,7 +231,7 @@ func TestQuickHuTuckerOptimal(t *testing.T) {
 		if n == 1 {
 			return WeightedPathLength(ht) == 0
 		}
-		opt, err := OptimalAlphabetic(items)
+		opt, err := OptimalKAry(items, 2)
 		if err != nil {
 			return false
 		}

@@ -16,6 +16,10 @@ import (
 // sentinel handed to fmt.Errorf must be wrapped by a %w verb, or
 // errors.Is stops matching at that wrap. Test files are checked too:
 // tests are where sentinel comparisons concentrate.
+//
+// Error text is err.Error(), fmt.Sprint(err), fmt.Sprintf("%v" or "%s",
+// err), or a local variable whose := definition is one of these; the
+// analyzer follows that one definition and no further.
 var ErrSentinel = &Analyzer{
 	Name: "errsentinel",
 	Doc: "sentinel errors must be tested with errors.Is, never with ==/!=, switch, err.Error() text, or " +
@@ -25,21 +29,41 @@ var ErrSentinel = &Analyzer{
 
 func runErrSentinel(pass *Pass) {
 	for _, f := range pass.Files {
+		text := errTexts{info: pass.Info, defs: localDefs(pass.Info, f)}
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.BinaryExpr:
 				if n.Op == token.EQL || n.Op == token.NEQ {
-					checkErrComparison(pass, n)
+					checkErrComparison(pass, text, n)
 				}
 			case *ast.SwitchStmt:
 				checkErrSwitch(pass, n)
 			case *ast.CallExpr:
-				checkErrStringMatch(pass, n)
+				checkErrStringMatch(pass, text, n)
 				checkSentinelWrap(pass, n)
 			}
 			return true
 		})
 	}
+}
+
+// localDefs maps each variable a := statement in f defines to the
+// expression it is defined as.
+func localDefs(info *types.Info, f *ast.File) map[types.Object]ast.Expr {
+	defs := map[types.Object]ast.Expr{}
+	ast.Inspect(f, func(n ast.Node) bool {
+		as, ok := n.(*ast.AssignStmt)
+		if !ok || as.Tok != token.DEFINE || len(as.Lhs) != len(as.Rhs) {
+			return true
+		}
+		for i, lhs := range as.Lhs {
+			if id, ok := lhs.(*ast.Ident); ok && info.Defs[id] != nil {
+				defs[info.Defs[id]] = as.Rhs[i]
+			}
+		}
+		return true
+	})
+	return defs
 }
 
 // sentinelVar resolves e to a package-level error variable, the shape
@@ -64,23 +88,61 @@ func sentinelVar(info *types.Info, e ast.Expr) *types.Var {
 	return v
 }
 
-// errorTextCall reports whether e is a call to the Error() string
-// method of an error value.
+// errTexts recognizes error text in one file.
+type errTexts struct {
+	info *types.Info
+	defs map[types.Object]ast.Expr // from localDefs
+}
+
+// is reports whether e is error text, directly or through the :=
+// definition of the local variable e names.
+func (x errTexts) is(e ast.Expr) bool {
+	if id, ok := ast.Unparen(e).(*ast.Ident); ok {
+		if def, ok := x.defs[x.info.Uses[id]]; ok {
+			e = def
+		}
+	}
+	return errorTextCall(x.info, e)
+}
+
+// errorTextCall reports whether e calls the Error() string method of an
+// error value, or formats one error alone with fmt.Sprint or with
+// fmt.Sprintf("%v") or ("%s"), which call that method.
 func errorTextCall(info *types.Info, e ast.Expr) bool {
 	call, ok := ast.Unparen(e).(*ast.CallExpr)
-	if !ok || len(call.Args) != 0 {
+	if !ok {
 		return false
 	}
 	f := calleeFunc(info, call)
-	if f == nil || f.Name() != "Error" {
+	if f == nil {
+		return false
+	}
+	args := call.Args
+	if funcPkgPath(f) == "fmt" {
+		switch {
+		case f.Name() == "Sprintf" && len(args) == 2:
+			tv := info.Types[args[0]]
+			if tv.Value == nil || tv.Value.Kind() != constant.String {
+				return false
+			}
+			if format := constant.StringVal(tv.Value); format != "%v" && format != "%s" {
+				return false
+			}
+			args = args[1:]
+		case f.Name() != "Sprint":
+			return false
+		}
+		return len(args) == 1 && !call.Ellipsis.IsValid() && isErrorType(info.TypeOf(args[0]))
+	}
+	if f.Name() != "Error" || len(args) != 0 {
 		return false
 	}
 	sig, ok := f.Type().(*types.Signature)
 	return ok && sig.Recv() != nil && isErrorType(sig.Recv().Type())
 }
 
-func checkErrComparison(pass *Pass, n *ast.BinaryExpr) {
-	if errorTextCall(pass.Info, n.X) || errorTextCall(pass.Info, n.Y) {
+func checkErrComparison(pass *Pass, text errTexts, n *ast.BinaryExpr) {
+	if text.is(n.X) || text.is(n.Y) {
 		pass.Reportf(n.Pos(), "comparing err.Error() text is brittle under wrapping; use errors.Is or errors.As")
 		return
 	}
@@ -122,7 +184,7 @@ func checkErrSwitch(pass *Pass, n *ast.SwitchStmt) {
 	}
 }
 
-func checkErrStringMatch(pass *Pass, n *ast.CallExpr) {
+func checkErrStringMatch(pass *Pass, text errTexts, n *ast.CallExpr) {
 	f := calleeFunc(pass.Info, n)
 	if f == nil || funcPkgPath(f) != "strings" {
 		return
@@ -133,7 +195,7 @@ func checkErrStringMatch(pass *Pass, n *ast.CallExpr) {
 		return
 	}
 	for _, arg := range n.Args {
-		if errorTextCall(pass.Info, arg) {
+		if text.is(arg) {
 			pass.Reportf(n.Pos(), "matching err.Error() with strings.%s is brittle under wrapping; use errors.Is or errors.As", f.Name())
 			return
 		}

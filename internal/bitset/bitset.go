@@ -27,15 +27,6 @@ func New(n int) Set {
 	return Set{words: make([]uint64, (n+wordBits-1)/wordBits)}
 }
 
-// FromSlice returns a set containing every value in vs.
-func FromSlice(vs []int) Set {
-	s := Set{}
-	for _, v := range vs {
-		s.Add(v)
-	}
-	return s
-}
-
 func (s *Set) grow(word int) {
 	for len(s.words) <= word {
 		s.words = append(s.words, 0)
@@ -77,16 +68,6 @@ func (s Set) Len() int {
 		n += bits.OnesCount64(w)
 	}
 	return n
-}
-
-// Empty reports whether the set has no elements.
-func (s Set) Empty() bool {
-	for _, w := range s.words {
-		if w != 0 {
-			return false
-		}
-	}
-	return true
 }
 
 // Copy makes s an exact copy of t, reusing s's backing storage when it is
@@ -136,66 +117,6 @@ func (s Set) Clone() Set {
 	return Set{words: w}
 }
 
-// Union returns a new set containing elements of s or t.
-func (s Set) Union(t Set) Set {
-	long, short := s.words, t.words
-	if len(short) > len(long) {
-		long, short = short, long
-	}
-	out := make([]uint64, len(long))
-	copy(out, long)
-	for i, w := range short {
-		out[i] |= w
-	}
-	return Set{words: out}
-}
-
-// Intersect returns a new set containing elements in both s and t.
-func (s Set) Intersect(t Set) Set {
-	n := len(s.words)
-	if len(t.words) < n {
-		n = len(t.words)
-	}
-	out := make([]uint64, n)
-	for i := 0; i < n; i++ {
-		out[i] = s.words[i] & t.words[i]
-	}
-	return Set{words: out}
-}
-
-// Diff returns a new set containing elements of s not in t.
-func (s Set) Diff(t Set) Set {
-	out := make([]uint64, len(s.words))
-	copy(out, s.words)
-	n := len(t.words)
-	if len(out) < n {
-		n = len(out)
-	}
-	for i := 0; i < n; i++ {
-		out[i] &^= t.words[i]
-	}
-	return Set{words: out}
-}
-
-// AddSet adds every element of t into s in place.
-func (s *Set) AddSet(t Set) {
-	s.grow(len(t.words) - 1)
-	for i, w := range t.words {
-		s.words[i] |= w
-	}
-}
-
-// RemoveSet removes every element of t from s in place.
-func (s *Set) RemoveSet(t Set) {
-	n := len(s.words)
-	if len(t.words) < n {
-		n = len(t.words)
-	}
-	for i := 0; i < n; i++ {
-		s.words[i] &^= t.words[i]
-	}
-}
-
 // Equal reports whether s and t contain exactly the same elements.
 func (s Set) Equal(t Set) bool {
 	long, short := s.words, t.words
@@ -229,27 +150,6 @@ func (s Set) SubsetOf(t Set) bool {
 	return true
 }
 
-// Intersects reports whether s and t share at least one element.
-func (s Set) Intersects(t Set) bool {
-	n := len(s.words)
-	if len(t.words) < n {
-		n = len(t.words)
-	}
-	for i := 0; i < n; i++ {
-		if s.words[i]&t.words[i] != 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// Values returns the elements of the set in ascending order.
-func (s Set) Values() []int {
-	out := make([]int, 0, s.Len())
-	s.ForEach(func(v int) { out = append(out, v) })
-	return out
-}
-
 // Next returns the smallest element >= v, or -1 if there is none.
 func (s Set) Next(v int) int {
 	if v < 0 {
@@ -280,20 +180,6 @@ func (s Set) ForEach(fn func(v int)) {
 			w &^= 1 << uint(b)
 		}
 	}
-}
-
-// Key returns a compact string usable as a map key for memoization.
-func (s Set) Key() string {
-	// Trim trailing zero words so logically-equal sets share a key.
-	words := s.words
-	for len(words) > 0 && words[len(words)-1] == 0 {
-		words = words[:len(words)-1]
-	}
-	var b strings.Builder
-	for _, w := range words {
-		fmt.Fprintf(&b, "%016x", w)
-	}
-	return b.String()
 }
 
 // String renders the set as {v1 v2 ...} for debugging.

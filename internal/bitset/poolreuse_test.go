@@ -9,7 +9,7 @@ import (
 // TestPoolReuseReturnsZeroedSets pins the contract the search state
 // pools are built on: a Set recycled through pool.Pool and refilled with
 // Copy behaves exactly like a freshly allocated one — no stale bits, and
-// the same Hash and Key, so dominance-table lookups cannot diverge
+// the same Hash, so dominance-table lookups cannot diverge
 // between a fresh state and a recycled one.
 func TestPoolReuseReturnsZeroedSets(t *testing.T) {
 	p := pool.New(func() *Set { s := New(256); return &s })
@@ -38,26 +38,23 @@ func TestPoolReuseReturnsZeroedSets(t *testing.T) {
 	if recycled.Hash(0) != fresh.Hash(0) {
 		t.Fatal("recycled set hashes differently from an equal fresh set")
 	}
-	if recycled.Key() != fresh.Key() {
-		t.Fatal("recycled set keys differently from an equal fresh set")
-	}
 }
 
-// TestPoolReuseAfterClearIsEmpty: the other reuse idiom — RemoveSet to
-// self-clear before refilling — must also leave no residue.
+// TestPoolReuseAfterClearIsEmpty: the other reuse idiom — Copy of the
+// zero Set to clear in place before refilling — must also leave no residue.
 func TestPoolReuseAfterClearIsEmpty(t *testing.T) {
 	p := pool.New(func() *Set { s := New(128); return &s })
 	s := p.Get()
 	s.Add(7)
 	s.Add(127)
-	s.RemoveSet(*s)
-	if !s.Empty() || s.Len() != 0 {
-		t.Fatalf("self-RemoveSet left residue: %v", *s)
+	s.Copy(Set{})
+	if s.Len() != 0 {
+		t.Fatalf("clearing Copy left residue: %v", *s)
 	}
 	p.Put(s)
 	got := p.Get()
 	defer p.Put(got)
-	if !got.Empty() {
+	if got.Len() != 0 {
 		t.Fatalf("recycled cleared set is not empty: %v", *got)
 	}
 }

@@ -145,13 +145,6 @@ func (r *Registry) Stats() (staged, swapped int) {
 // ctx so a shutdown does not wait out a long solve.
 type Builder func(ctx context.Context) (*sim.Program, error)
 
-// ChannelBuilder compiles the next program from live demand restricted
-// to the given live channels (1-based, sorted; nil means all channels).
-// A tower uses it to replan around an outage: the build solves over the
-// survivors and remaps the result to full physical width so the staged
-// program stays swappable.
-type ChannelBuilder func(ctx context.Context, live []int) (*sim.Program, error)
-
 // PlannerStats counts the planner's lifecycle events.
 type PlannerStats struct {
 	// Builds is the number of build attempts started.
@@ -197,7 +190,7 @@ func newPlannerObs(r *obs.Registry) plannerObs {
 // Planner runs Builder in the background and stages each result.
 type Planner struct {
 	reg   *Registry
-	build ChannelBuilder
+	build Builder
 	om    plannerObs
 	now   func() int64
 
@@ -208,25 +201,10 @@ type Planner struct {
 	mu    sync.Mutex
 	stats PlannerStats
 	err   error // last build failure
-	live  []int // channel subset for the next build; nil = all
 }
 
 // NewPlanner starts the planning goroutine; Close releases it.
-func NewPlanner(ctx context.Context, reg *Registry, build Builder) *Planner {
-	return NewPlannerOpts(ctx, reg, build, PlannerOptions{})
-}
-
-// NewPlannerOpts is NewPlanner with instrumentation options.
-func NewPlannerOpts(ctx context.Context, reg *Registry, build Builder, o PlannerOptions) *Planner {
-	return NewChannelPlanner(ctx, reg, func(ctx context.Context, _ []int) (*sim.Program, error) {
-		return build(ctx)
-	}, o)
-}
-
-// NewChannelPlanner starts a planning goroutine whose build function
-// receives the live-channel subset most recently passed to RequestLive
-// (nil until the first such request). Close releases it.
-func NewChannelPlanner(ctx context.Context, reg *Registry, build ChannelBuilder, o PlannerOptions) *Planner {
+func NewPlanner(ctx context.Context, reg *Registry, build Builder, o PlannerOptions) *Planner {
 	ctx, cancel := context.WithCancel(ctx)
 	now := o.NowNanos
 	if now == nil {
@@ -256,20 +234,6 @@ func (pl *Planner) Request() {
 	}
 }
 
-// RequestLive records the live-channel subset the next build should plan
-// for — nil restores full width — and asks for one rebuild. Like
-// Request, bursts coalesce; the latest live set wins.
-func (pl *Planner) RequestLive(live []int) {
-	var copied []int
-	if live != nil {
-		copied = append([]int{}, live...)
-	}
-	pl.mu.Lock()
-	pl.live = copied
-	pl.mu.Unlock()
-	pl.Request()
-}
-
 func (pl *Planner) loop(ctx context.Context) {
 	defer close(pl.done)
 	for {
@@ -280,11 +244,10 @@ func (pl *Planner) loop(ctx context.Context) {
 		}
 		pl.mu.Lock()
 		pl.stats.Builds++
-		live := pl.live
 		pl.mu.Unlock()
 		pl.om.builds.Inc()
 		start := pl.now()
-		prog, err := pl.build(ctx, live)
+		prog, err := pl.build(ctx)
 		if err != nil {
 			err = fmt.Errorf("%w: %w", ErrBuildFailed, err)
 		}

@@ -150,7 +150,7 @@ func TestPlannerStagesBuilds(t *testing.T) {
 	pl := NewPlanner(context.Background(), r, func(ctx context.Context) (*sim.Program, error) {
 		defer func() { built <- struct{}{} }()
 		return prog(t, 8, 2, 99), nil
-	})
+	}, PlannerOptions{})
 	defer pl.Close()
 	pl.Request()
 	<-built
@@ -177,7 +177,7 @@ func TestPlannerCoalescesRequests(t *testing.T) {
 		started <- struct{}{}
 		<-gate
 		return prog(t, 8, 2, 50), nil
-	})
+	}, PlannerOptions{})
 	pl.Request()
 	<-started // first build in flight
 	for i := 0; i < 10; i++ {
@@ -206,7 +206,7 @@ func TestPlannerRecordsFailures(t *testing.T) {
 	pl := NewPlanner(context.Background(), r, func(ctx context.Context) (*sim.Program, error) {
 		defer close(built)
 		return nil, boom
-	})
+	}, PlannerOptions{})
 	pl.Request()
 	<-built
 	pl.Close()
@@ -224,31 +224,6 @@ func TestPlannerRecordsFailures(t *testing.T) {
 	}
 }
 
-// TestChannelPlannerThreadsLiveSet: RequestLive hands the build function
-// the latest live-channel subset, and a plain Request after recovery
-// keeps the previously recorded set until RequestLive(nil) resets it.
-func TestChannelPlannerThreadsLiveSet(t *testing.T) {
-	r, err := NewRegistry(prog(t, 8, 2, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	seen := make(chan []int, 4)
-	pl := NewChannelPlanner(context.Background(), r, func(ctx context.Context, live []int) (*sim.Program, error) {
-		seen <- live
-		return prog(t, 8, 2, 2), nil
-	}, PlannerOptions{})
-	defer pl.Close()
-
-	pl.RequestLive([]int{2})
-	if got := <-seen; len(got) != 1 || got[0] != 2 {
-		t.Fatalf("first build saw live %v, want [2]", got)
-	}
-	pl.RequestLive(nil)
-	if got := <-seen; got != nil {
-		t.Fatalf("reset build saw live %v, want nil", got)
-	}
-}
-
 func TestPlannerHonorsContext(t *testing.T) {
 	r, err := NewRegistry(prog(t, 8, 2, 1))
 	if err != nil {
@@ -260,7 +235,7 @@ func TestPlannerHonorsContext(t *testing.T) {
 		close(blocked)
 		<-ctx.Done() // a well-behaved solver observes cancellation
 		return nil, ctx.Err()
-	})
+	}, PlannerOptions{})
 	pl.Request()
 	<-blocked
 	cancel()

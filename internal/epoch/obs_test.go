@@ -35,7 +35,7 @@ func TestPlannerPublishesObs(t *testing.T) {
 	r := obs.New()
 	var now int64
 	next := prog(t, 8, 2, 2)
-	pl := NewPlannerOpts(context.Background(), reg, func(ctx context.Context) (*sim.Program, error) {
+	pl := NewPlanner(context.Background(), reg, func(ctx context.Context) (*sim.Program, error) {
 		return next, nil
 	}, PlannerOptions{Obs: r, NowNanos: func() int64 { now += 1000; return now }})
 	defer pl.Close()
@@ -76,7 +76,7 @@ func TestPlannerPublishesFailures(t *testing.T) {
 	}
 	r := obs.New()
 	boom := errors.New("no demand")
-	pl := NewPlannerOpts(context.Background(), reg, func(ctx context.Context) (*sim.Program, error) {
+	pl := NewPlanner(context.Background(), reg, func(ctx context.Context) (*sim.Program, error) {
 		return nil, boom
 	}, PlannerOptions{Obs: r})
 	defer pl.Close()

@@ -2,6 +2,7 @@ package heuristic
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -13,21 +14,18 @@ import (
 )
 
 // TestSortTreeFig1: the paper sorts the pairs 2–3, A–B, E–4 and C–D of
-// Fig. 1(a); the example tree is already in sorted order, so SortTree is
-// the identity there.
+// Fig. 1(a); the example tree is already in sorted order, so its sorted
+// preorder is its plain preorder.
 func TestSortTreeFig1(t *testing.T) {
 	tr := tree.Fig1()
-	sorted, err := SortTree(tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !tree.Equal(tr, sorted) {
-		t.Fatalf("sorted = %s, want identical to %s", sorted, tr)
+	if got, want := SortedPreorder(tr), tr.Preorder(); !slices.Equal(got, want) {
+		t.Fatalf("sorted preorder = %v, want %v", tr.LabelOf(got), tr.LabelOf(want))
 	}
 }
 
 // TestSortTreeReorders: a scrambled version of Fig. 1(a) must sort back to
-// the paper's Fig. 13 order (2 before 3, A before B, E before 4, C before D).
+// the paper's Fig. 13 order (2 before 3, A before B, E before 4, C before D),
+// whose preorder is that of 1(2(A B) 3(E 4(C D))).
 func TestSortTreeReorders(t *testing.T) {
 	b := tree.NewBuilder()
 	n1 := b.AddRoot("1")
@@ -43,13 +41,9 @@ func TestSortTreeReorders(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sorted, err := SortTree(scrambled)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := "1(2(A:20 B:10) 3(E:18 4(C:15 D:7)))"
-	if got := sorted.String(); got != want {
-		t.Fatalf("sorted = %s, want %s", got, want)
+	want := []string{"1", "2", "A", "B", "3", "E", "4", "C", "D"}
+	if got := scrambled.LabelOf(SortedPreorder(scrambled)); !slices.Equal(got, want) {
+		t.Fatalf("sorted preorder = %v, want %v", got, want)
 	}
 }
 
@@ -288,25 +282,6 @@ func TestQuickAllocateSortedFeasible(t *testing.T) {
 			}
 		}
 		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: sorting the already-sorted tree is idempotent.
-func TestQuickSortTreeIdempotent(t *testing.T) {
-	f := func(seed int64) bool {
-		tr := quickTree(seed, 15)
-		s1, err := SortTree(tr)
-		if err != nil {
-			return false
-		}
-		s2, err := SortTree(s1)
-		if err != nil {
-			return false
-		}
-		return tree.Equal(s1, s2)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)

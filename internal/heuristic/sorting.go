@@ -33,7 +33,6 @@ package heuristic
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"repro/internal/alloc"
 	"repro/internal/tree"
@@ -70,40 +69,6 @@ func ranks(t *tree.Tree) []float64 {
 		weight[i] /= float64(size[i])
 	}
 	return weight
-}
-
-// SortTree returns a copy of t with every index node's children reordered
-// descending by the ">" relation. Ties keep the original order.
-func SortTree(t *tree.Tree) (*tree.Tree, error) {
-	b := tree.NewBuilder()
-	key := ranks(t)
-	var clone func(parent, src tree.ID)
-	clone = func(parent, src tree.ID) {
-		var nid tree.ID
-		switch {
-		case parent == tree.None && t.IsData(src):
-			nid = b.AddRootData(t.Label(src), t.Weight(src))
-		case parent == tree.None:
-			nid = b.AddRoot(t.Label(src))
-		case t.IsData(src):
-			if k, ok := t.Key(src); ok {
-				nid = b.AddKeyedData(parent, t.Label(src), k, t.Weight(src))
-			} else {
-				nid = b.AddData(parent, t.Label(src), t.Weight(src))
-			}
-		default:
-			nid = b.AddIndex(parent, t.Label(src))
-		}
-		children := append([]tree.ID(nil), t.Children(src)...)
-		sort.SliceStable(children, func(i, j int) bool {
-			return key[children[i]] > key[children[j]]
-		})
-		for _, c := range children {
-			clone(nid, c)
-		}
-	}
-	clone(tree.None, t.Root())
-	return b.Build()
 }
 
 // SortedPreorder returns t's node IDs in the preorder of the sorted tree:

@@ -57,10 +57,6 @@ func (q *Queue[T]) Pop() T {
 	return v
 }
 
-// Peek returns the minimum item without removing it. It panics on an
-// empty queue.
-func (q *Queue[T]) Peek() T { return q.items[0] }
-
 func (q *Queue[T]) up(i int) {
 	for i > 0 {
 		parent := (i - 1) / 2

@@ -12,9 +12,6 @@ func TestBasicOrdering(t *testing.T) {
 	for _, v := range []int{5, 1, 4, 1, 3} {
 		q.Push(v)
 	}
-	if q.Peek() != 1 {
-		t.Fatalf("Peek = %d", q.Peek())
-	}
 	var got []int
 	for q.Len() > 0 {
 		got = append(got, q.Pop())

@@ -270,41 +270,3 @@ func Corollary1(t *tree.Tree, k int) (*Result, bool, error) {
 	}
 	return &Result{Alloc: a, Cost: a.DataWait()}, true, nil
 }
-
-// Optima enumerates every optimal allocation of t over k channels (the
-// paper notes "there may exist more than one optimal allocation"), up to
-// limit results (0 = no limit). It first finds the optimal cost with the
-// exact search, then walks the unpruned topological tree keeping every
-// complete path that attains it. Exponential; intended for small trees.
-func Optima(t *tree.Tree, k int, limit int) ([]*alloc.Allocation, error) {
-	exact, err := Exact(t, k)
-	if err != nil {
-		return nil, err
-	}
-	target := exact.Cost * t.TotalWeight()
-	var out []*alloc.Allocation
-	var walkErr error
-	_, err = EnumeratePaths(t, Options{Channels: k}, func(levels [][]tree.ID, cost float64) bool {
-		if cost > target+1e-9 || cost < target-1e-9 {
-			return true
-		}
-		copied := make([][]tree.ID, len(levels))
-		for i := range levels {
-			copied[i] = append([]tree.ID(nil), levels[i]...)
-		}
-		a, err := alloc.FromLevels(t, k, copied)
-		if err != nil {
-			walkErr = err
-			return false
-		}
-		out = append(out, a)
-		return limit == 0 || len(out) < limit
-	})
-	if err != nil {
-		return nil, err
-	}
-	if walkErr != nil {
-		return nil, walkErr
-	}
-	return out, nil
-}

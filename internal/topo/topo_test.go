@@ -7,6 +7,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/bitset"
 	"repro/internal/stats"
 	"repro/internal/tree"
 	"repro/internal/workload"
@@ -51,7 +52,7 @@ func TestExample1TwoChannelNeighbors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	placed := g.all.Diff(g.all) // empty
+	placed := bitset.New(tr.NumNodes())
 	placed.Add(int(tr.FindLabel("1")))
 	placed.Add(int(tr.FindLabel("2")))
 	placed.Add(int(tr.FindLabel("3")))
@@ -483,43 +484,5 @@ func BenchmarkSearchPrunedVsUnpruned(b *testing.B) {
 				b.ReportMetric(float64(res.Stats.Generated), "generated/op")
 			})
 		}
-	}
-}
-
-// TestOptimaFig1: the example tree has exactly one 2-channel optimum (the
-// 264 allocation) but several 1-channel optima may exist; every returned
-// allocation attains the optimal cost.
-func TestOptimaFig1(t *testing.T) {
-	tr := tree.Fig1()
-	for k := 1; k <= 2; k++ {
-		exact, err := Exact(tr, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		optima, err := Optima(tr, k, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(optima) == 0 {
-			t.Fatalf("k=%d: no optima returned", k)
-		}
-		for _, a := range optima {
-			if math.Abs(a.DataWait()-exact.Cost) > 1e-9 {
-				t.Fatalf("k=%d: allocation with cost %g among optima (want %g)",
-					k, a.DataWait(), exact.Cost)
-			}
-			if err := a.Validate(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		t.Logf("k=%d: %d optimal allocations", k, len(optima))
-	}
-	// The limit caps the enumeration.
-	capped, err := Optima(tr, 1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(capped) != 1 {
-		t.Fatalf("limit ignored: %d results", len(capped))
 	}
 }
