@@ -33,6 +33,8 @@ bench:
 	$(GO) test -run xxx -bench 'Search|CountPaths' -benchmem ./internal/datatree
 	$(GO) test -run xxx -bench 'Query|Evaluate|Compile' -benchmem ./internal/sim
 	$(GO) test -run xxx -bench Stage -benchmem ./internal/epoch
+	$(GO) test -run xxx -bench 'ClosePeriod|RecordSelect' -benchmem ./internal/hotset
+	$(GO) test -run xxx -bench EncodeProgram -benchmem ./internal/wire
 	$(GO) test -run xxx -bench HuTucker -benchmem ./internal/alphatree
 	$(GO) test -run xxx -bench 'AllocateSorted|Polish|Levels' -benchmem ./internal/heuristic ./internal/alloc
 	$(GO) test -run xxx -bench Tick -benchmem ./internal/netcast

@@ -1,8 +1,10 @@
 package broadcast
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 	"sync"
 	"time"
 
@@ -128,13 +130,19 @@ func NewStation(universe []Item, cfg StationConfig) (*Station, error) {
 		s.now = func() int64 { return time.Now().UnixNano() }
 	}
 	for _, it := range universe {
+		if math.IsNaN(it.Weight) || math.IsInf(it.Weight, 0) {
+			return nil, fmt.Errorf("broadcast: key %d has weight %v, want a finite number", it.Key, it.Weight)
+		}
 		if _, dup := s.labels[it.Key]; dup {
 			return nil, fmt.Errorf("broadcast: duplicate key %d", it.Key)
 		}
 		s.labels[it.Key] = it.Label
-		// Seed the prior: one synthetic access per unit of weight.
-		for i := 0.0; i < it.Weight; i++ {
-			est.Record(it.Key)
+		// Seed the prior: one synthetic access per started unit of
+		// weight, added at once.
+		if it.Weight > 0 {
+			if err := est.Add(it.Key, math.Ceil(it.Weight)); err != nil {
+				return nil, err
+			}
 		}
 	}
 	sel, _ := est.Select(cfg.HotSize)
@@ -211,7 +219,7 @@ func (s *Station) PlanSelection(sel []HotKey) (*Schedule, error) {
 	if len(sel) == 0 {
 		return nil, fmt.Errorf("broadcast: no demand tracked; nothing to put on air")
 	}
-	sort.Slice(sel, func(i, j int) bool { return sel[i].Key < sel[j].Key })
+	slices.SortFunc(sel, func(a, b HotKey) int { return cmp.Compare(a.Key, b.Key) })
 	items := make([]Item, len(sel))
 	for i, h := range sel {
 		label := s.labels[h.Key]

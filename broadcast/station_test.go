@@ -3,8 +3,11 @@ package broadcast_test
 import (
 	"errors"
 	"fmt"
+	"math"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/broadcast"
 	"repro/internal/epoch"
@@ -175,6 +178,43 @@ func TestStationConfigErrors(t *testing.T) {
 	}
 	if _, err := broadcast.NewStation(universe(3), broadcast.StationConfig{HotSize: 1, Decay: 2}); err == nil {
 		t.Fatal("want error for bad decay")
+	}
+}
+
+// TestStationWeightsSeedInOneStep: NaN and infinite weights are errors
+// naming the key, and a weight far past 2⁵³ seeds at once. The prior was
+// once seeded by one Record per unit of weight, a loop that never ended
+// on +Inf and stalled at 2⁵³; the time.After guard turns such a hang into
+// a failure instead of a stuck suite.
+func TestStationWeightsSeedInOneStep(t *testing.T) {
+	newStation := func(w float64) error {
+		t.Helper()
+		u := universe(2)
+		u[1].Weight = w
+		done := make(chan error, 1)
+		go func() {
+			_, err := broadcast.NewStation(u, broadcast.StationConfig{HotSize: 2})
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			return err
+		case <-time.After(5 * time.Second):
+			t.Fatalf("NewStation with weight %v still seeding after 5 s", w)
+			return nil
+		}
+	}
+	for _, w := range []float64{math.Inf(1), math.Inf(-1), math.NaN()} {
+		err := newStation(w)
+		if err == nil {
+			t.Fatalf("weight %v accepted", w)
+		}
+		if !strings.Contains(err.Error(), "key 2") { //nolint:bcast-errsentinel // naming the key is the contract under test; this error has no sentinel
+			t.Fatalf("weight %v: error %q does not name key 2", w, err)
+		}
+	}
+	if err := newStation(1 << 60); err != nil {
+		t.Fatalf("weight 2^60: %v", err)
 	}
 }
 

@@ -12,7 +12,8 @@ import (
 // internal/obs is held to the same bar because instrumented code calls
 // it from inside those replay loops: a wall-clock read or map-ordered
 // snapshot there would leak nondeterminism into every instrumented
-// cross-check.
+// cross-check. internal/hotset picks what a station airs, so a
+// map-ordered sum there would make its coverage differ between runs.
 var DeterministicPaths = []string{
 	"internal/sim",
 	"internal/fault",
@@ -23,6 +24,7 @@ var DeterministicPaths = []string{
 	"internal/core",
 	"internal/obs",
 	"internal/retrieval",
+	"internal/hotset",
 }
 
 // Determinism forbids the three ways nondeterminism has crept into

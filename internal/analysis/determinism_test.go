@@ -27,6 +27,7 @@ func TestPathMatches(t *testing.T) {
 		{"repro/internal/retrieval", true},
 		{"repro/internal/retrieval/sub", true},
 		{"repro/internal/bestfirst", true}, // the searches' queue loop
+		{"repro/internal/hotset", true},
 		{"repro/internal/netcast", false},
 		{"repro", false},
 	}

@@ -297,7 +297,7 @@ func TestEvaluateFaultyLossyKeepsPerQueryPath(t *testing.T) {
 // 3 channels with and without root copies, packed by the sorting
 // heuristic. The sparse case spreads the same tree so that about a third
 // of channel 1 carries root copies.
-func benchPrograms(b *testing.B) []namedProgram {
+func benchPrograms(b testing.TB) []namedProgram {
 	b.Helper()
 	mary, err := workload.FullMAry(4, 3, stats.Normal{Mu: 100, Sigma: 20}, stats.NewRNG(1))
 	if err != nil {

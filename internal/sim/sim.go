@@ -174,58 +174,81 @@ func Compile(a *alloc.Allocation, opt Options) (*Program, error) {
 		span:     keySpans(t),
 		rootCh:   1,
 	}
+	// Size one pointer arena for every bucket's Children: the tree's
+	// edges, plus a copy of the root's for each channel-1 slot a root
+	// copy will fill.
+	edges := t.NumNodes() - 1 // every node but the root has one parent
+	copies := opt.FillWithRootCopies && t.NumNodes() > 1
+	if copies {
+		empty := p.cycleLen
+		for i := 0; i < t.NumNodes(); i++ {
+			if a.Pos(tree.ID(i)).Channel == 1 {
+				empty--
+			}
+		}
+		edges += empty * len(t.Children(t.Root()))
+	}
+	arena := make([]Pointer, 0, edges)
+	// Every bucket on every channel advertises the next cycle start, so a
+	// client that lost its channel mid-descent can resynchronize from any
+	// surviving channel instead of only from channel 1.
+	flat := make([]Bucket, p.k*p.cycleLen)
 	p.buckets = make([][]Bucket, p.k)
 	for ch := range p.buckets {
-		p.buckets[ch] = make([]Bucket, p.cycleLen)
+		p.buckets[ch] = flat[ch*p.cycleLen : (ch+1)*p.cycleLen : (ch+1)*p.cycleLen]
 		for s := range p.buckets[ch] {
-			p.buckets[ch][s] = Bucket{Node: tree.None}
+			p.buckets[ch][s] = Bucket{Node: tree.None, NextCycle: p.cycleLen - s}
 		}
 	}
 	for i := 0; i < t.NumNodes(); i++ {
 		id := tree.ID(i)
 		pos := a.Pos(id)
 		p.slotOf[id] = pos
-		b := Bucket{Node: id}
-		for _, c := range t.Children(id) {
-			cp := a.Pos(c)
-			b.Children = append(b.Children, p.pointerTo(cp.Channel, cp.Slot-pos.Slot, c))
-		}
-		p.buckets[pos.Channel-1][pos.Slot-1] = b
+		b := &p.buckets[pos.Channel-1][pos.Slot-1]
+		b.Node = id
+		b.Children, arena = p.pointers(arena, a, id, pos.Slot)
 	}
-	// Every bucket on every channel advertises the next cycle start, so a
-	// client that lost its channel mid-descent can resynchronize from any
-	// surviving channel instead of only from channel 1.
-	for ch := range p.buckets {
-		for s := 1; s <= p.cycleLen; s++ {
-			p.buckets[ch][s-1].NextCycle = p.cycleLen - s + 1
-		}
-	}
-	if opt.FillWithRootCopies && t.NumNodes() > 1 {
-		p.fillRootCopies(a)
+	if copies {
+		p.fillRootCopies(a, arena)
 	}
 	return p, nil
 }
 
+// pointers appends the pointers from node id, aired at slot s, to its
+// children onto arena. It returns them as a full slice expression of
+// arena (nil for a leaf), so an append to one bucket's Children cannot
+// overwrite the next bucket's, and the extended arena. Offsets to slots
+// at or before s wrap into the next cycle; only a root copy has such
+// children, since a valid allocation airs every child after its parent.
+func (p *Program) pointers(arena []Pointer, a *alloc.Allocation, id tree.ID, s int) ([]Pointer, []Pointer) {
+	kids := p.t.Children(id)
+	if len(kids) == 0 {
+		return nil, arena
+	}
+	start := len(arena)
+	for _, c := range kids {
+		cp := a.Pos(c)
+		off := cp.Slot - s
+		if off <= 0 {
+			off += p.cycleLen
+		}
+		arena = append(arena, p.pointerTo(cp.Channel, off, c))
+	}
+	return arena[start:len(arena):len(arena)], arena
+}
+
 // fillRootCopies writes a replica of the root into every empty channel-1
 // slot, with child offsets wrapping into the next cycle when the child's
-// slot has already passed.
-func (p *Program) fillRootCopies(a *alloc.Allocation) {
-	t := p.t
-	root := t.Root()
+// slot has already passed. The copies' pointers are cut from arena.
+func (p *Program) fillRootCopies(a *alloc.Allocation, arena []Pointer) {
+	root := p.t.Root()
 	for s := 1; s <= p.cycleLen; s++ {
-		if p.buckets[0][s-1].Node != tree.None {
+		b := &p.buckets[0][s-1]
+		if b.Node != tree.None {
 			continue
 		}
-		b := Bucket{Node: root, RootCopy: true, NextCycle: p.cycleLen - s + 1}
-		for _, c := range t.Children(root) {
-			cp := a.Pos(c)
-			off := cp.Slot - s
-			if off <= 0 {
-				off += p.cycleLen
-			}
-			b.Children = append(b.Children, p.pointerTo(cp.Channel, off, c))
-		}
-		p.buckets[0][s-1] = b
+		b.Node, b.RootCopy = root, true
+		b.Children, arena = p.pointers(arena, a, root, s)
 	}
 }
 

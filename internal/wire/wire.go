@@ -112,22 +112,39 @@ const (
 	headerSizeV2 = 2 + 1 + 1 + 1 + 2 // magic, version, kind, flags, nextCycle
 	headerSizeV3 = headerSizeV2 + 4  // v3 adds the epoch stamp
 	headerSize   = headerSizeV3 + 1  // v4 adds the root-channel stamp
+	pointerSize  = 1 + 2 + 8 + 8     // channel, offset, key range
 	crcSize      = 4                 // CRC32-C trailer
 )
 
+// encodedSize is the length of a current-format bucket with a label of
+// labelLen bytes and the given number of pointers.
+func encodedSize(labelLen, pointers int) int {
+	return headerSize + 1 + labelLen + 8 + 8 + 1 + pointers*pointerSize + crcSize
+}
+
 // Marshal encodes the bucket.
 func (b *Bucket) Marshal() ([]byte, error) {
+	out, err := b.appendMarshal(make([]byte, 0, encodedSize(len(b.Label), len(b.Pointers))))
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// appendMarshal appends the bucket's encoding to dst and returns the
+// extended slice.
+func (b *Bucket) appendMarshal(dst []byte) ([]byte, error) {
 	if b.Kind > KindData {
-		return nil, fmt.Errorf("wire: invalid kind %d", b.Kind)
+		return dst, fmt.Errorf("wire: invalid kind %d", b.Kind)
 	}
 	if len(b.Label) > math.MaxUint8 {
-		return nil, fmt.Errorf("wire: label %q too long", b.Label)
+		return dst, fmt.Errorf("wire: label %q too long", b.Label)
 	}
 	if len(b.Pointers) > math.MaxUint8 {
-		return nil, fmt.Errorf("wire: %d pointers exceed the bucket capacity", len(b.Pointers))
+		return dst, fmt.Errorf("wire: %d pointers exceed the bucket capacity", len(b.Pointers))
 	}
-	out := make([]byte, 0, headerSize+1+len(b.Label)+8+8+1+len(b.Pointers)*19+crcSize)
-	out = binary.BigEndian.AppendUint16(out, Magic)
+	start := len(dst)
+	out := binary.BigEndian.AppendUint16(dst, Magic)
 	out = append(out, Version)
 	out = append(out, b.Kind)
 	var flags uint8
@@ -149,8 +166,7 @@ func (b *Bucket) Marshal() ([]byte, error) {
 		out = binary.BigEndian.AppendUint64(out, uint64(p.KeyLo))
 		out = binary.BigEndian.AppendUint64(out, uint64(p.KeyHi))
 	}
-	out = binary.BigEndian.AppendUint32(out, crc32.Checksum(out, crcTable))
-	return out, nil
+	return binary.BigEndian.AppendUint32(out, crc32.Checksum(out[start:], crcTable)), nil
 }
 
 // Unmarshal decodes a bucket, validating the checksum, structure and
@@ -232,7 +248,7 @@ func Unmarshal(data []byte) (*Bucket, error) {
 	count := int(data[pos])
 	pos++
 	for i := 0; i < count; i++ {
-		if err := need(19, "pointer"); err != nil {
+		if err := need(pointerSize, "pointer"); err != nil {
 			return nil, err
 		}
 		var p Pointer
@@ -240,7 +256,7 @@ func Unmarshal(data []byte) (*Bucket, error) {
 		p.Offset = binary.BigEndian.Uint16(data[pos+1 : pos+3])
 		p.KeyLo = int64(binary.BigEndian.Uint64(data[pos+3 : pos+11]))
 		p.KeyHi = int64(binary.BigEndian.Uint64(data[pos+11 : pos+19]))
-		pos += 19
+		pos += pointerSize
 		if p.Channel == 0 {
 			return nil, fmt.Errorf("wire: pointer %d has channel 0", i)
 		}
@@ -259,6 +275,10 @@ func Unmarshal(data []byte) (*Bucket, error) {
 // per-slot packets, stamping every bucket with the given epoch ID:
 // out[channel-1][slot-1] is the encoded bucket. Epoch 0 marks a static,
 // unversioned broadcast.
+//
+// Every packet is cut from one arena sized in a first pass, with its
+// capacity equal to its length, so appending to one packet copies it
+// instead of overwriting its neighbour.
 func EncodeProgram(p *sim.Program, epoch uint32) ([][][]byte, error) {
 	t := p.Tree()
 	if t == nil {
@@ -266,12 +286,28 @@ func EncodeProgram(p *sim.Program, epoch uint32) ([][][]byte, error) {
 		// verbatim; re-encoding it would require the tree it no longer has.
 		return nil, fmt.Errorf("wire: program has no tree (checkpoint-restored skeleton); serve its checkpointed packets instead")
 	}
-	out := make([][][]byte, p.Channels())
-	for ch := 1; ch <= p.Channels(); ch++ {
-		out[ch-1] = make([][]byte, p.CycleLen())
-		for s := 1; s <= p.CycleLen(); s++ {
+	channels, cycle := p.Channels(), p.CycleLen()
+	size, maxPointers := 0, 0
+	for ch := 1; ch <= channels; ch++ {
+		for s := 1; s <= cycle; s++ {
 			sb := p.BucketAt(ch, s)
-			wb := &Bucket{
+			label := 0
+			if sb.Node != tree.None {
+				label = len(t.Label(sb.Node))
+			}
+			size += encodedSize(label, len(sb.Children))
+			maxPointers = max(maxPointers, len(sb.Children))
+		}
+	}
+	arena := make([]byte, 0, size)
+	pointers := make([]Pointer, 0, maxPointers)
+	packets := make([][]byte, channels*cycle)
+	out := make([][][]byte, channels)
+	for ch := 1; ch <= channels; ch++ {
+		out[ch-1] = packets[(ch-1)*cycle : ch*cycle : ch*cycle]
+		for s := 1; s <= cycle; s++ {
+			sb := p.BucketAt(ch, s)
+			wb := Bucket{
 				NextCycle:   uint16(sb.NextCycle),
 				RootCopy:    sb.RootCopy || sb.Node == t.Root(),
 				Epoch:       epoch,
@@ -290,17 +326,20 @@ func EncodeProgram(p *sim.Program, epoch uint32) ([][][]byte, error) {
 				} else {
 					wb.Kind = KindIndex
 				}
+				pointers = pointers[:0]
 				for _, c := range sb.Children {
-					wb.Pointers = append(wb.Pointers, Pointer{
+					pointers = append(pointers, Pointer{
 						Channel: uint8(c.Channel), Offset: uint16(c.Offset), KeyLo: c.KeyLo, KeyHi: c.KeyHi,
 					})
 				}
+				wb.Pointers = pointers
 			}
-			data, err := wb.Marshal()
-			if err != nil {
+			start := len(arena)
+			var err error
+			if arena, err = wb.appendMarshal(arena); err != nil {
 				return nil, fmt.Errorf("wire: channel %d slot %d: %w", ch, s, err)
 			}
-			out[ch-1][s-1] = data
+			out[ch-1][s-1] = arena[start:len(arena):len(arena)]
 		}
 	}
 	return out, nil
