@@ -301,7 +301,7 @@ func newScenario(t *tree.Tree, prog *sim.Program, opt liveOpts) (*scenario, erro
 	sc := &scenario{
 		tl:      static,
 		env:     sim.FaultConfig{Model: model, MaxRetries: opt.retries},
-		server:  netcast.ServerOptions{Faults: model, StallFor: time.Millisecond, Obs: opt.obs},
+		server:  netcast.ServerOptions{Faults: model, Obs: opt.obs},
 		span:    2 * L,
 		noun:    "lookups",
 		twin:    "analytic",

@@ -59,7 +59,7 @@ func TestEndToEndSystem(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	server, err := netcast.NewServer(prog)
+	server, err := netcast.NewServerOpts(prog, netcast.ServerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -374,7 +374,7 @@ func LoadCheckpoint(path string) (*Checkpoint, error) {
 func (r *Registry) Snapshot() (cur Entry, pending *Entry, nextID uint32, staged, swapped int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	p := r.pending
+	p := r.pending.Load()
 	if p != nil {
 		e := *p
 		p = &e
@@ -422,7 +422,7 @@ func RestoreRegistry(c *Checkpoint) (*Registry, error) {
 		if err != nil {
 			return nil, err
 		}
-		r.pending = &e
+		r.pending.Store(&e)
 	}
 	return r, nil
 }

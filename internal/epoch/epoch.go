@@ -22,6 +22,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
@@ -46,9 +47,12 @@ type Entry struct {
 // Registry is the tower's double-buffered program store: one current
 // entry on the air, at most one staged successor.
 type Registry struct {
-	mu      sync.Mutex
-	cur     Entry
-	pending *Entry
+	mu  sync.Mutex
+	cur Entry
+	// pending is written under mu but read without it, so the tower can
+	// ask at every cycle boundary whether anything is staged without
+	// taking the lock.
+	pending atomic.Pointer[Entry]
 	nextID  uint32
 	// staged and swapped count lifecycle events for observability.
 	staged, swapped int
@@ -98,7 +102,7 @@ func (r *Registry) Stage(p *sim.Program) (uint32, error) {
 		if r.nextID == id {
 			r.nextID++
 			r.staged++
-			r.pending = &Entry{ID: id, Prog: p, Packets: packets}
+			r.pending.Store(&Entry{ID: id, Prog: p, Packets: packets})
 			r.mu.Unlock()
 			return id, nil
 		}
@@ -110,12 +114,11 @@ func (r *Registry) Stage(p *sim.Program) (uint32, error) {
 
 // Pending returns the staged epoch's ID, if any.
 func (r *Registry) Pending() (uint32, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.pending == nil {
+	p := r.pending.Load()
+	if p == nil {
 		return 0, false
 	}
-	return r.pending.ID, true
+	return p.ID, true
 }
 
 // TrySwap promotes the pending entry to current, returning the new
@@ -125,11 +128,12 @@ func (r *Registry) Pending() (uint32, bool) {
 func (r *Registry) TrySwap() (Entry, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.pending == nil {
+	p := r.pending.Load()
+	if p == nil {
 		return r.cur, false
 	}
-	r.cur = *r.pending
-	r.pending = nil
+	r.cur = *p
+	r.pending.Store(nil)
 	r.swapped++
 	return r.cur, true
 }

@@ -3,7 +3,6 @@ package netcast
 import (
 	"errors"
 	"testing"
-	"time"
 
 	"repro/internal/fault"
 	"repro/internal/obs"
@@ -72,7 +71,7 @@ func TestReadBatchMatchesSimulator(t *testing.T) {
 				t.Fatal(err)
 			}
 			m, err := runBatch(t, compiled(t, 9, 2, 21, false),
-				ServerOptions{Faults: model, StallFor: time.Millisecond}, budget, plan, nil)
+				ServerOptions{Faults: model}, budget, plan, nil)
 			if err != nil {
 				t.Fatalf("model %+v arrival %d: %v", model, arrival, err)
 			}
@@ -165,7 +164,7 @@ func TestReadBatchRejectsMultiAntenna(t *testing.T) {
 	if !errors.Is(err, sim.ErrBadPlan) {
 		t.Fatalf("err = %v, want ErrBadPlan", err)
 	}
-	s, err := NewServer(p)
+	s, err := NewServerOpts(p, ServerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

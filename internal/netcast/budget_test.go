@@ -3,7 +3,6 @@ package netcast
 import (
 	"errors"
 	"testing"
-	"time"
 
 	"repro/internal/fault"
 	"repro/internal/sim"
@@ -323,7 +322,7 @@ func TestRetryBudgetBoundaryReconnect(t *testing.T) {
 		}
 	}
 	lookupAt := func(arrival int, key int64, budget int) outageOutcome {
-		h := newCrashHarness(t, p1, down, ServerOptions{Faults: model, Outages: outs, StallFor: time.Millisecond})
+		h := newCrashHarness(t, p1, down, ServerOptions{Faults: model, Outages: outs})
 		defer h.close()
 		c, _ := h.attach()
 		defer c.Close()

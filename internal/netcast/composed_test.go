@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"slices"
 	"testing"
-	"time"
 
 	"repro/internal/fault"
 	"repro/internal/sim"
@@ -53,7 +52,7 @@ func TestComposedFaultsMatchTwin(t *testing.T) {
 		darkLen := 2*L + 1 + rng.Intn(2*L)
 		darkFrom := max(swap-darkLen+rng.Intn(L), 0)
 		env := sim.FaultConfig{
-			Model:      fault.Model{Seed: seed, Drop: 0.15, Corrupt: 0.05},
+			Model:      fault.Model{Seed: seed, Drop: 0.15, Corrupt: 0.05, Stall: 0.1},
 			Outages:    fault.Outages{{Channel: 1 + rng.Intn(3), StartSlot: darkFrom, EndSlot: darkFrom + darkLen}},
 			Downtimes:  fault.Downtimes{{StartSlot: swap + 1 + rng.Intn(L), EndSlot: 0}},
 			Backoff:    fault.Backoff{Seed: seed, Base: 3, Cap: 24},
@@ -67,7 +66,7 @@ func TestComposedFaultsMatchTwin(t *testing.T) {
 		// p2 at stageAt, darkening and losing slots, and dying on schedule.
 		session := func(run func(c *Client) outageOutcome) outageOutcome {
 			h := newCrashHarness(t, p1, env.Downtimes, ServerOptions{
-				Faults: env.Model, Outages: env.Outages, StallFor: time.Millisecond,
+				Faults: env.Model, Outages: env.Outages,
 			})
 			defer h.close()
 			c, _ := h.attach()

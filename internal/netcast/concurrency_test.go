@@ -15,7 +15,7 @@ import (
 // releases every one of them, including waiters that arrive after.
 func TestAwaitConnsCloseInterleaving(t *testing.T) {
 	p := compiled(t, 4, 1, 32, false)
-	s, err := NewServer(p)
+	s, err := NewServerOpts(p, ServerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

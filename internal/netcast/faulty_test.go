@@ -1,6 +1,8 @@
 package netcast
 
 import (
+	"bufio"
+	"bytes"
 	"errors"
 	"net"
 	"testing"
@@ -8,6 +10,7 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/sim"
+	"repro/internal/wire"
 )
 
 // runFaultyLookup drives one lookup against a lossy server and returns
@@ -65,7 +68,7 @@ func TestFaultyLookupMatchesSimulator(t *testing.T) {
 					t.Fatal(err)
 				}
 				found, m, err := runFaultyLookup(t, compiled(t, 7, 2, 21, false),
-					ServerOptions{Faults: model, StallFor: time.Millisecond}, retries, arrival, key)
+					ServerOptions{Faults: model}, retries, arrival, key)
 				if err != nil {
 					t.Fatalf("model %+v key %d arrival %d: %v", model, key, arrival, err)
 				}
@@ -256,7 +259,7 @@ func TestTickSurvivesStalledWriter(t *testing.T) {
 // detaching used to leave Tick blocked on its dead connection.
 func TestTickSurvivesAbruptClose(t *testing.T) {
 	p := compiled(t, 4, 1, 27, false)
-	s, err := NewServer(p)
+	s, err := NewServerOpts(p, ServerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,16 +325,14 @@ func TestTickSurvivesAbruptCloseTCP(t *testing.T) {
 	}
 }
 
-// TestFaultyConnDetachSkipsPairing: detach requests must not enter the
-// request/frame pairing queue.
-func TestFaultyConnDetachSkipsPairing(t *testing.T) {
+// TestFaultySequentialSessionsMatchTwin: two sequential lookups on fresh
+// connections against one lossy tower both match the simulator — the
+// first session's detach leaves nothing behind that could shift the
+// fault draws of the second.
+func TestFaultySequentialSessionsMatchTwin(t *testing.T) {
 	p := compiled(t, 6, 2, 29, false)
 	tr := p.Tree()
 	key, _ := tr.Key(tr.DataIDs()[0])
-	// High corruption on channel pairing would misdraw outcomes if the
-	// detach of a first lookup shifted the pending queue for a second
-	// connection's session. Two sequential lookups on fresh connections
-	// against one lossy server must both match the simulator.
 	model := fault.Model{Seed: 41, Drop: 0.3}
 	s, err := NewServerOpts(p, ServerOptions{Faults: model})
 	if err != nil {
@@ -374,5 +375,184 @@ func TestFaultyConnDetachSkipsPairing(t *testing.T) {
 			t.Fatalf("round %d: net %+v != sim %+v", round, out.m, want)
 		}
 		c.Close()
+	}
+}
+
+// TestFaultyFrameDecision pins Tick's frame decision byte for byte: with
+// drop, corrupt and stall all armed and one outage window, a raw client
+// tuned to every (channel, slot) of two cycles hears the encoded packet,
+// a lost-slot frame (dark or Drop), or the packet with exactly the
+// BitIndex bit flipped, which wire.Unmarshal rejects (Corrupt).
+func TestFaultyFrameDecision(t *testing.T) {
+	p := compiled(t, 9, 3, 51, true)
+	L, k := p.CycleLen(), p.Channels()
+	model := fault.Model{Seed: 52, Drop: 0.2, Corrupt: 0.2, Stall: 0.2}
+	outs := fault.Outages{{Channel: 2, StartSlot: L / 2, EndSlot: L + L/2}}
+	packets, err := wire.EncodeProgram(p, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewServerOpts(p, ServerOptions{Faults: model, Outages: outs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+
+	// One raw client per channel requests every slot in turn; Tick waits
+	// for all of them, so each slot is heard on every channel.
+	type heard struct {
+		ch, slot int
+		payload  []byte
+		err      error
+	}
+	frames := make(chan heard, 2*L*k) // one per frame: senders never block
+	for ch := 1; ch <= k; ch++ {
+		clientEnd, serverEnd := net.Pipe()
+		defer clientEnd.Close()
+		s.Attach(serverEnd)
+		go func(ch int, conn net.Conn) {
+			br := bufio.NewReader(conn)
+			for slot := 0; slot < 2*L; slot++ {
+				if _, err := conn.Write(appendRequest(nil, ch, slot)); err != nil {
+					frames <- heard{ch: ch, err: err}
+					return
+				}
+				got, payload, err := readFrame(br)
+				frames <- heard{ch, got, payload, err}
+				if err != nil {
+					return
+				}
+			}
+		}(ch, clientEnd)
+	}
+	go s.Run(2 * L)
+
+	seen := map[string]int{}
+	for i := 0; i < 2*L*k; i++ {
+		h := await(t, frames)
+		if h.err != nil {
+			t.Fatalf("channel %d: %v", h.ch, h.err)
+		}
+		o := model.At(h.ch, h.slot)
+		want := packets[h.ch-1][h.slot%L]
+		switch {
+		case outs.DarkAt(h.ch, h.slot) || o == fault.Drop:
+			want = nil
+			seen["lost"]++
+		case o == fault.Corrupt:
+			want = bytes.Clone(want)
+			bit := model.BitIndex(h.ch, h.slot, 8*len(want))
+			want[bit/8] ^= 1 << (bit % 8)
+			// The CRC catches every flip; one in the magic or version
+			// bytes fails that field's own check first.
+			_, err := wire.Unmarshal(h.payload)
+			if err == nil || bit >= 3*8 && !errors.Is(err, wire.ErrChecksum) {
+				t.Fatalf("channel %d slot %d: corrupt frame (bit %d) decoded with %v, want ErrChecksum",
+					h.ch, h.slot, bit, err)
+			}
+			seen["corrupt"]++
+		default:
+			seen[o.String()]++
+		}
+		if outs.DarkAt(h.ch, h.slot) && o != fault.Drop {
+			seen["dark-not-drop"]++
+		}
+		if !bytes.Equal(h.payload, want) {
+			t.Fatalf("channel %d slot %d (%v, dark %v): heard %x, want %x",
+				h.ch, h.slot, o, outs.DarkAt(h.ch, h.slot), h.payload, want)
+		}
+	}
+	for _, class := range []string{"lost", "corrupt", "ok", "stall", "dark-not-drop"} {
+		if seen[class] == 0 {
+			t.Fatalf("no %s slot in the sweep %v; the pin is vacuous", class, seen)
+		}
+	}
+	// Corruption flips the connection's copy, never the shared packet.
+	fresh, err := wire.EncodeProgram(p, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for ch := range fresh {
+		for i := range fresh[ch] {
+			if !bytes.Equal(s.packets[ch][i], fresh[ch][i]) {
+				t.Fatalf("packet (%d, %d) changed on air", ch+1, i+1)
+			}
+		}
+	}
+}
+
+// TestFaultyStallPastWriteDeadline: a Stall draw holds its frame back for
+// stallDelay after the write deadline is armed, so with a deadline
+// shorter than the stall the write fails and that connection — only
+// that one — is closed. Tick still returns, and a second connection due
+// in the same slot gets its frame and stays on the air.
+func TestFaultyStallPastWriteDeadline(t *testing.T) {
+	p := compiled(t, 6, 2, 53, false)
+	model := fault.Model{Seed: 54, Stall: 0.5}
+	slot := 0
+	for model.At(1, slot) != fault.Stall || model.At(2, slot) != fault.OK {
+		slot++
+	}
+	s, err := NewServerOpts(p, ServerOptions{Faults: model, WriteTimeout: stallDelay / 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	stalled, serverEnd := net.Pipe()
+	defer stalled.Close()
+	s.Attach(serverEnd)
+	healthy, serverEnd := net.Pipe()
+	defer healthy.Close()
+	s.Attach(serverEnd)
+	for ch, conn := range []net.Conn{stalled, healthy} {
+		if _, err := conn.Write(appendRequest(nil, ch+1, slot)); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	type heard struct {
+		slot    int
+		payload []byte
+		err     error
+	}
+	listen := func(conn net.Conn) <-chan heard {
+		out := make(chan heard, 1)
+		go func() {
+			got, payload, err := readFrame(bufio.NewReader(conn))
+			out <- heard{got, payload, err}
+		}()
+		return out
+	}
+	stalledFrame, healthyFrame := listen(stalled), listen(healthy)
+	ticked := make(chan error, 1)
+	go func() { ticked <- s.Run(slot + 1) }()
+	if err := await(t, ticked); err != nil {
+		t.Fatal(err)
+	}
+	if h := await(t, stalledFrame); h.err == nil {
+		t.Fatalf("stalled connection heard slot %d past its write deadline", h.slot)
+	}
+	h := await(t, healthyFrame)
+	if h.err != nil {
+		t.Fatalf("healthy connection: %v", h.err)
+	}
+	if want := s.packets[1][slot%p.CycleLen()]; h.slot != slot || !bytes.Equal(h.payload, want) {
+		t.Fatalf("healthy connection heard slot %d %x, want slot %d %x", h.slot, h.payload, slot, want)
+	}
+
+	// The healthy connection is still served.
+	next := listen(healthy)
+	if _, err := healthy.Write(appendRequest(nil, 2, slot+1)); err != nil {
+		t.Fatal(err)
+	}
+	go func() { ticked <- s.Tick() }()
+	if err := await(t, ticked); err != nil {
+		t.Fatal(err)
+	}
+	if h := await(t, next); h.err != nil || h.slot != slot+1 {
+		t.Fatalf("healthy connection after the stall: slot %d, %v", h.slot, h.err)
+	}
+	if got := s.Conns(); got != 1 {
+		t.Fatalf("%d connections registered after the stall, want 1", got)
 	}
 }

@@ -70,32 +70,3 @@ func readFrame(br *bufio.Reader) (slot int, payload []byte, err error) {
 func readRequest(br *bufio.Reader, buf []byte) (int, error) {
 	return io.ReadFull(br, buf)
 }
-
-// requestScanner incrementally extracts fixed-size requests from an
-// arbitrarily chunked byte stream (the FaultyConn read path uses it to
-// pair each outgoing frame with the channel it was requested on).
-type requestScanner struct {
-	carry []byte
-}
-
-// feed consumes a chunk, invoking emit for every complete request.
-func (rs *requestScanner) feed(p []byte, emit func(channel, slot int)) {
-	if len(rs.carry) > 0 {
-		need := requestSize - len(rs.carry)
-		if need > len(p) {
-			rs.carry = append(rs.carry, p...)
-			return
-		}
-		rs.carry = append(rs.carry, p[:need]...)
-		ch, slot := parseRequest(rs.carry)
-		emit(ch, slot)
-		rs.carry = rs.carry[:0]
-		p = p[need:]
-	}
-	for len(p) >= requestSize {
-		ch, slot := parseRequest(p[:requestSize])
-		emit(ch, slot)
-		p = p[requestSize:]
-	}
-	rs.carry = append(rs.carry, p...)
-}

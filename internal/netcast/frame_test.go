@@ -105,36 +105,6 @@ func TestRequestRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRequestScannerChunking: the scanner emits the same request sequence
-// no matter how the byte stream is chunked.
-func TestRequestScannerChunking(t *testing.T) {
-	var stream []byte
-	type req struct{ ch, slot int }
-	want := []req{{1, 0}, {2, 99}, {3, 1 << 20}, {1, 7}, {2, 0xFFFFFF}}
-	for _, r := range want {
-		stream = appendRequest(stream, r.ch, r.slot)
-	}
-	for chunk := 1; chunk <= len(stream); chunk++ {
-		var rs requestScanner
-		var got []req
-		for off := 0; off < len(stream); off += chunk {
-			end := off + chunk
-			if end > len(stream) {
-				end = len(stream)
-			}
-			rs.feed(stream[off:end], func(ch, slot int) { got = append(got, req{ch, slot}) })
-		}
-		if len(got) != len(want) {
-			t.Fatalf("chunk %d: %d requests, want %d", chunk, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("chunk %d: request %d = %+v, want %+v", chunk, i, got[i], want[i])
-			}
-		}
-	}
-}
-
 // FuzzReadFrame throws arbitrary bytes at the frame decoder: it must
 // never panic, and any frame it accepts must re-encode to the exact bytes
 // it consumed (canonical round trip).
@@ -159,43 +129,6 @@ func FuzzReadFrame(f *testing.F) {
 		}
 		if !bytes.Equal(re, data[:consumed]) {
 			t.Fatalf("round trip not canonical:\n in:  %x\n out: %x", data[:consumed], re)
-		}
-	})
-}
-
-// FuzzRequestScanner feeds the scanner an arbitrary stream under an
-// arbitrary chunking and checks it against the trivial fixed-stride
-// decode of the same bytes.
-func FuzzRequestScanner(f *testing.F) {
-	f.Add(appendRequest(appendRequest(nil, 1, 5), 2, 9), uint8(3))
-	f.Add([]byte{1, 2}, uint8(1))
-	f.Fuzz(func(t *testing.T, data []byte, chunk uint8) {
-		step := int(chunk)
-		if step == 0 {
-			step = 1
-		}
-		var rs requestScanner
-		type req struct{ ch, slot int }
-		var got []req
-		for off := 0; off < len(data); off += step {
-			end := off + step
-			if end > len(data) {
-				end = len(data)
-			}
-			rs.feed(data[off:end], func(ch, slot int) { got = append(got, req{ch, slot}) })
-		}
-		var want []req
-		for off := 0; off+requestSize <= len(data); off += requestSize {
-			ch, slot := parseRequest(data[off : off+requestSize])
-			want = append(want, req{ch, slot})
-		}
-		if len(got) != len(want) {
-			t.Fatalf("scanner found %d requests, stride decode found %d", len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("request %d: %+v vs %+v", i, got[i], want[i])
-			}
 		}
 	})
 }

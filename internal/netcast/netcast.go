@@ -17,13 +17,15 @@
 // sockets deterministic and lets the tests assert byte-identical metrics
 // against the analytic simulator.
 //
-// The medium may be imperfect: ServerOptions.Faults injects the seeded
-// lossy-channel model (frame loss, bit corruption, delivery stalls) at
-// the wire level, and the client recovers by re-tuning to the same cycle
-// slot on the next broadcast cycle, under a bounded retry budget. The
-// server itself is hardened against misbehaving clients: frame writes
-// carry deadlines, and connections that neither request nor detach within
-// a grace period are evicted instead of wedging the broadcast clock.
+// The medium may be imperfect: ServerOptions.Faults is the seeded
+// lossy-channel model (frame loss, bit corruption, delivery stalls), and
+// Tick, which knows the (channel, slot) every frame answers, decides each
+// frame's fate from it when it builds the frame. The client recovers by
+// re-tuning to the same cycle slot on the next broadcast cycle, under a
+// bounded retry budget. The server itself is hardened against
+// misbehaving clients: frame writes carry deadlines, and connections
+// that neither request nor detach within a grace period are evicted
+// instead of wedging the broadcast clock.
 //
 // Whole channels may also fail: ServerOptions.Outages darkens scheduled
 // windows of (channel, slot) pairs, during which the tower transmits
@@ -68,21 +70,25 @@ const detachChannel = 0
 // detector and the clients' failover trigger agree on what "dead" means.
 const DefaultWatchdog = 3
 
+// stallDelay is how long a Stall outcome holds back a frame write. The
+// stall counts against the write deadline, so a WriteTimeout shorter
+// than the stall fails the write and closes the connection.
+const stallDelay = time.Millisecond
+
 // ServerOptions hardens and degrades the broadcast medium.
 type ServerOptions struct {
-	// Faults injects the deterministic lossy-channel model into every
-	// frame delivery. The zero model is a perfect medium.
+	// Faults is the deterministic lossy-channel model Tick draws every
+	// frame's fate from, keyed by the (channel, slot) it answers: Drop
+	// sends a lost-slot frame, Corrupt flips one payload bit, Stall holds
+	// the write back by stallDelay. The zero model is a perfect medium.
 	Faults fault.Model
-	// StallFor is how long a Stall outcome delays a frame write.
-	// Defaults to 2ms.
-	StallFor time.Duration
 	// Grace evicts a connection that neither has a wake-up pending nor
 	// detaches for this long while the clock wants to advance. Defaults
 	// to 30s; negative disables eviction (the pre-robustness behavior).
 	Grace time.Duration
-	// WriteTimeout bounds each frame write; a connection that cannot
-	// absorb a frame in time is closed. Defaults to 5s; negative
-	// disables the deadline.
+	// WriteTimeout bounds each frame write, a stall included; a
+	// connection that cannot absorb a frame in time is closed. Defaults
+	// to 5s; negative disables the deadline.
 	WriteTimeout time.Duration
 	// Outages darkens whole channels for scheduled windows of absolute
 	// slots: a delivery whose (channel, slot) falls inside a window is
@@ -101,12 +107,12 @@ type ServerOptions struct {
 	// callback can swap at that very slot's cycle boundary — and must not
 	// call back into the Server.
 	OnLiveChange func(live []int, slot int)
-	// CheckpointPath, when non-empty on an adaptive server, makes the
-	// tower persist its recovery state — clock, span history, registry
-	// counters and the exact wire packets of the active and any pending
-	// epoch — to this file at cycle boundaries. Writes are atomic
-	// (temp file + rename), happen outside the broadcast lock, and a
-	// failed write never stalls the air.
+	// CheckpointPath, when non-empty, makes the tower persist its
+	// recovery state — clock, span history, registry counters and the
+	// exact wire packets of the active and any pending epoch — to this
+	// file at cycle boundaries. Writes are atomic (temp file + rename),
+	// happen outside the broadcast lock, and a failed write never stalls
+	// the air.
 	CheckpointPath string
 	// CheckpointEvery thins the checkpoint cadence: state is written at
 	// every CheckpointEvery-th cycle boundary (0 or 1 = every boundary).
@@ -126,9 +132,6 @@ type ServerOptions struct {
 }
 
 func (o ServerOptions) withDefaults() ServerOptions {
-	if o.StallFor == 0 {
-		o.StallFor = 2 * time.Millisecond
-	}
 	if o.Grace == 0 {
 		o.Grace = 30 * time.Second
 	}
@@ -141,16 +144,15 @@ func (o ServerOptions) withDefaults() ServerOptions {
 	return o
 }
 
-// Server broadcasts one program to any number of connections. A static
-// server (NewServer) broadcasts one program forever; an adaptive server
-// (NewAdaptiveServer) serves the current epoch of a registry and
-// promotes staged successors at cycle boundaries — never mid-cycle —
-// without ever skipping a broadcast slot.
+// Server broadcasts to any number of connections the current epoch of a
+// registry, and promotes staged successors at cycle boundaries — never
+// mid-cycle — without ever skipping a broadcast slot. A static tower
+// (NewServerOpts) is one whose registry never has anything staged.
 type Server struct {
 	opts ServerOptions
 	ln   net.Listener
-	// reg, when non-nil, is the double-buffered program store the tower
-	// swaps from at cycle boundaries.
+	// reg is the double-buffered program store the tower swaps from at
+	// cycle boundaries.
 	reg *epoch.Registry
 
 	mu      sync.Mutex
@@ -322,37 +324,15 @@ type connState struct {
 	frame []byte
 }
 
-// NewServer wraps a compiled program with default options; Attach or
-// Serve bring connections.
-func NewServer(p *sim.Program) (*Server, error) {
-	return NewServerOpts(p, ServerOptions{})
-}
-
-// NewServerOpts wraps a compiled program with explicit robustness and
-// fault-injection options.
+// NewServerOpts broadcasts one compiled program forever: an adaptive
+// server over a fresh registry holding p as epoch 1. Attach or Serve
+// bring connections.
 func NewServerOpts(p *sim.Program, opts ServerOptions) (*Server, error) {
-	if err := opts.Faults.Validate(); err != nil {
-		return nil, err
-	}
-	if err := opts.Outages.Validate(); err != nil {
-		return nil, err
-	}
-	packets, err := wire.EncodeProgram(p, 0)
+	reg, err := epoch.NewRegistry(p)
 	if err != nil {
 		return nil, err
 	}
-	s := &Server{
-		prog:    p,
-		packets: packets,
-		opts:    opts.withDefaults(),
-		spans:   []span{{0, p.CycleLen()}},
-		conns:   map[net.Conn]*connState{},
-		nextDue: math.MaxInt,
-		om:      newServerObs(opts.Obs),
-	}
-	s.initHealth()
-	s.cond = sync.NewCond(&s.mu)
-	return s, nil
+	return NewAdaptiveServer(reg, opts)
 }
 
 // initHealth sizes the channel health tracker. Epoch swaps preserve the
@@ -462,9 +442,6 @@ func (s *Server) Serve(ln net.Listener) {
 
 // Attach registers a single connection (useful with net.Pipe).
 func (s *Server) Attach(conn net.Conn) {
-	if s.opts.Faults.Enabled() {
-		conn = NewFaultyConn(conn, s.opts.Faults, s.opts.StallFor)
-	}
 	s.mu.Lock()
 	if s.done {
 		s.mu.Unlock()
@@ -578,11 +555,21 @@ func (s *Server) evictSilentLocked() time.Duration {
 	return wake
 }
 
-// boundaryLocked reports whether slot now opens a cycle of an adaptive
-// server's on-air program: the only slots where a staged epoch can swap
-// in or a checkpoint can be taken.
+// boundaryLocked reports whether slot now opens a cycle of the on-air
+// program: the only slots where a staged epoch can swap in or a
+// checkpoint can be taken.
 func (s *Server) boundaryLocked(now int) bool {
-	return s.reg != nil && (now-s.epochStart)%s.prog.CycleLen() == 0
+	return (now-s.epochStart)%s.prog.CycleLen() == 0
+}
+
+// boundaryWorkLocked reports whether slot now is a cycle boundary with
+// something to do: a staged epoch to swap in or a checkpoint to take.
+func (s *Server) boundaryWorkLocked(now int) bool {
+	if !s.boundaryLocked(now) {
+		return false
+	}
+	_, staged := s.reg.Pending()
+	return staged || s.opts.CheckpointPath != ""
 }
 
 // Tick broadcasts the current slot and advances the clock. It waits until
@@ -594,10 +581,15 @@ func (s *Server) boundaryLocked(now int) bool {
 //
 // A slot nobody is tuned to costs O(1) in the connection count: when
 // every connection has a wake-up pending for a later slot, no outage
-// schedule is armed, and the slot is not a cycle boundary of an adaptive
-// server, Tick only advances the clock. Every other slot takes the full
-// path, the only one that delivers frames, evicts, swaps epochs, takes
-// checkpoints or runs the watchdog.
+// schedule is armed, and the slot is not a cycle boundary with an epoch
+// staged or a checkpoint due, Tick only advances the clock. Every other
+// slot takes the full path, the only one that delivers frames, evicts,
+// swaps epochs, takes checkpoints or runs the watchdog.
+//
+// Tick alone decides what each due connection hears: the bucket on air,
+// a lost-slot frame when the channel is dark or the fault model drops
+// the slot, the bucket with one bit flipped when it corrupts it, or the
+// bucket held back by stallDelay when it stalls it.
 //
 // Tick is driven from one goroutine; it returns only after the slot's
 // frame writes have finished.
@@ -625,7 +617,9 @@ func (s *Server) Tick() error {
 	now := s.now
 	// Nobody is tuned to this slot. An armed outage schedule still takes
 	// the full path: the watchdog must account every slot before it airs.
-	if now < s.nextDue && !s.opts.Outages.Enabled() && !s.boundaryLocked(now) {
+	// So does a cycle boundary with an epoch to swap in or a checkpoint
+	// to take.
+	if now < s.nextDue && !s.opts.Outages.Enabled() && !s.boundaryWorkLocked(now) {
 		s.now++
 		s.om.ticks.Inc()
 		s.om.clock.Set(int64(s.now))
@@ -665,6 +659,7 @@ func (s *Server) Tick() error {
 	type delivery struct {
 		conn  net.Conn
 		frame []byte
+		stall bool
 	}
 	var due []delivery
 	var delivered time.Time
@@ -679,10 +674,13 @@ func (s *Server) Tick() error {
 		}
 		cycleSlot := (now-s.epochStart)%s.prog.CycleLen() + 1
 		payload := s.packets[st.channel-1][cycleSlot-1]
-		// A dark channel transmits dead air: the client wakes on time and
-		// hears a lost-slot frame, so outage detection stays a pure
-		// function of slot arithmetic on both ends of the wire.
-		if s.opts.Outages.DarkAt(st.channel, now) {
+		// The fault outcome is drawn even on a dark slot, as the analytic
+		// twin draws it. A dark channel transmits dead air: the client
+		// wakes on time and hears a lost-slot frame, so outage detection
+		// stays a pure function of slot arithmetic on both ends of the
+		// wire. A dropped slot sounds the same.
+		o := s.opts.Faults.At(st.channel, now)
+		if o == fault.Drop || s.opts.Outages.DarkAt(st.channel, now) {
 			payload = nil
 		}
 		frame, err := appendFrame(st.frame[:0], now, payload)
@@ -690,8 +688,14 @@ func (s *Server) Tick() error {
 			s.mu.Unlock()
 			return err
 		}
+		// Corruption flips a bit of this connection's copy of the frame,
+		// never of the shared packet; the wire CRC catches it.
+		if o == fault.Corrupt && len(payload) > 0 {
+			bit := s.opts.Faults.BitIndex(st.channel, now, 8*len(payload))
+			frame[frameHeaderSize+bit/8] ^= 1 << (bit % 8)
+		}
 		st.frame = frame
-		due = append(due, delivery{conn, frame})
+		due = append(due, delivery{conn, frame, o == fault.Stall})
 		st.hasPending = false
 		s.waiting++
 		if delivered.IsZero() {
@@ -722,14 +726,21 @@ func (s *Server) Tick() error {
 
 	// Deliveries run concurrently under a write deadline: one stalled or
 	// dead client costs at most WriteTimeout, not the broadcast forever,
-	// and cannot delay the frames of healthy clients.
+	// and cannot delay the frames of healthy clients. A stall counts
+	// against the deadline: it is fixed before the stall and armed after
+	// it, so a deadline shorter than stallDelay has passed when armed and
+	// the write fails at once.
 	var wg sync.WaitGroup
 	for _, d := range due {
 		wg.Add(1)
 		go func(d delivery) {
 			defer wg.Done()
+			start := time.Now()
+			if d.stall {
+				time.Sleep(stallDelay)
+			}
 			if s.opts.WriteTimeout > 0 {
-				d.conn.SetWriteDeadline(time.Now().Add(s.opts.WriteTimeout))
+				d.conn.SetWriteDeadline(start.Add(s.opts.WriteTimeout))
 			}
 			if _, err := d.conn.Write(d.frame); err != nil {
 				// A broken client must not stall the broadcast: close
@@ -790,7 +801,7 @@ func (s *Server) updateHealthLocked() {
 }
 
 // checkpointLocked assembles the recovery state to persist for slot now,
-// or nil when no checkpoint is due: the server must be adaptive with a
+// or nil when no checkpoint is due: the server must have a
 // CheckpointPath, now must be a cycle boundary of the active program, and
 // the boundary must match the CheckpointEvery cadence. The snapshot is
 // pure memory (packets are shared, immutable); the caller writes the file

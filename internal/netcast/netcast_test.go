@@ -46,7 +46,7 @@ func pipeClient(t testing.TB, s *Server) *Client {
 // runLookup drives the server while a lookup runs on a pipe client.
 func runLookup(t testing.TB, p *sim.Program, arrival int, key int64) (bool, sim.Metrics) {
 	t.Helper()
-	s, err := NewServer(p)
+	s, err := NewServerOpts(p, ServerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestPipeRootCopies(t *testing.T) {
 // TestTCPLoopback runs the full stack over a real TCP socket.
 func TestTCPLoopback(t *testing.T) {
 	p := compiled(t, 8, 2, 4, false)
-	s, err := NewServer(p)
+	s, err := NewServerOpts(p, ServerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestTCPLoopback(t *testing.T) {
 // and keys, one server, exact metrics for all.
 func TestConcurrentNetClients(t *testing.T) {
 	p := compiled(t, 8, 2, 5, false)
-	s, err := NewServer(p)
+	s, err := NewServerOpts(p, ServerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +244,7 @@ func TestLateRequestCatchesNextCycle(t *testing.T) {
 		{3, 1, 1 + L},
 		{10_000_003, 0, (10_000_003 + L - 1) / L * L},
 	} {
-		s, err := NewServer(p)
+		s, err := NewServerOpts(p, ServerOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -272,7 +272,7 @@ func TestLateRequestCatchesNextCycle(t *testing.T) {
 
 func TestServerCloseUnblocksTick(t *testing.T) {
 	p := compiled(t, 4, 1, 7, false)
-	s, err := NewServer(p)
+	s, err := NewServerOpts(p, ServerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +298,7 @@ func TestServerCloseUnblocksTick(t *testing.T) {
 
 func TestBadChannelRequestDisconnects(t *testing.T) {
 	p := compiled(t, 4, 1, 8, false)
-	s, err := NewServer(p)
+	s, err := NewServerOpts(p, ServerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,7 +317,7 @@ func TestBadChannelRequestDisconnects(t *testing.T) {
 // runRange drives a range lookup against a fresh server.
 func runRange(t *testing.T, p *sim.Program, arrival int, lo, hi int64) ([]int64, sim.Metrics) {
 	t.Helper()
-	s, err := NewServer(p)
+	s, err := NewServerOpts(p, ServerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -373,7 +373,7 @@ func TestRangeLookupMatchesSimulator(t *testing.T) {
 
 func TestRangeLookupInvalidRange(t *testing.T) {
 	p := compiled(t, 4, 1, 11, false)
-	s, err := NewServer(p)
+	s, err := NewServerOpts(p, ServerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

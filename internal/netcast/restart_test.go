@@ -404,7 +404,7 @@ func TestRestartLookupMatchesTwin(t *testing.T) {
 					t.Fatalf("%s arrival %d key %d: sim: %v", tc.name, arrival, key, wantErr)
 				}
 
-				h := newCrashHarness(t, p, down, ServerOptions{Faults: tc.model, StallFor: time.Millisecond})
+				h := newCrashHarness(t, p, down, ServerOptions{Faults: tc.model})
 				c, _ := h.attach()
 				c.MaxRetries = budget
 				c.Backoff = bo

@@ -44,7 +44,7 @@ func catchUpAt(s *Server, spans []span, now, slot int) int {
 // requests for slot 0, and requests on every span edge.
 func TestCatchUpMatchesLoop(t *testing.T) {
 	p := compiled(t, 8, 2, 3, false)
-	static, err := NewServer(p)
+	static, err := NewServerOpts(p, ServerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,7 +344,7 @@ func TestParkedAdaptiveServerSwapsAtBoundary(t *testing.T) {
 // path again.
 func TestNextDueExactAfterFullTick(t *testing.T) {
 	p := compiled(t, 6, 2, 9, false)
-	s, err := NewServer(p)
+	s, err := NewServerOpts(p, ServerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -382,7 +382,7 @@ func BenchmarkTick(b *testing.B) {
 }
 
 func benchTick(b *testing.B, p *sim.Program, n int, deliver bool) {
-	s, err := NewServer(p)
+	s, err := NewServerOpts(p, ServerOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -17,7 +17,9 @@
 #               that loses once in a few runs shows up as a failure here)
 #   soak        outage + crash-restart soaks under -race (50 kill/revive
 #               cycles each: channel outages, then station SIGKILL/warm
-#               restart; leak-free, sim-twin byte-identical)
+#               restart; leak-free, sim-twin byte-identical), and the
+#               lossy-medium twin tests under -race, -count=10 (Tick and
+#               the delivery goroutines decide every frame's fault)
 #   fuzz        scripts/fuzz.sh                (every fuzz target, 5s each)
 #   perf        go test -run '^$' -bench . -benchtime 1x ./...
 #               (every benchmark once: a broken benchmark fails the gate)
@@ -74,6 +76,7 @@ go test -count=50 -run TestLiveRestart ./cmd/bcast-live
 
 echo "== soak =="
 go test -race -run 'TestOutageSoak|TestCrashRestartSoak' -count=1 ./internal/netcast
+go test -race -count=10 -run 'TestFaulty|TestComposedFaultsMatchTwin' ./internal/netcast
 
 echo "== fuzz =="
 sh scripts/fuzz.sh 5s
