@@ -336,7 +336,7 @@ func newScenario(t *tree.Tree, prog *sim.Program, opt liveOpts) (*scenario, erro
 		if sc.tl, err = sim.NewTimeline(prog, 1); err != nil {
 			return nil, err
 		}
-		swapSlot, err := sc.tl.Append(prog2, 2, opt.swap)
+		swapSlot, err := sc.tl.Stage(prog2, 2, opt.swap)
 		if err != nil {
 			return nil, err
 		}

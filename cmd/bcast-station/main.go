@@ -218,11 +218,18 @@ func runAsync(universe, hot, k, periods, perP, shift int, theta, decay float64, 
 	// survives the crash. The station airs one broadcast cycle per demand
 	// period, which fixes the slot arithmetic the checkpoint codec checks.
 	var (
-		reg        *epoch.Registry
-		aired      int          // absolute slots aired so far
-		epochStart int          // slot the active program went on the air
-		spans      []epoch.Span // span history, oldest first
+		reg   *epoch.Registry
+		aired int         // absolute slots aired so far
+		spans sim.History // span history; the last span is on the air
 	)
+	// swapIn records a promoted epoch taking the air at slot aired. The
+	// station has no clients that could re-request a past slot, so every
+	// older span is dropped: the checkpoint stays one span long however
+	// many swaps land.
+	swapIn := func(e epoch.Entry) {
+		spans = append(spans, sim.Span{Start: aired, CycleLen: e.Prog.CycleLen()})
+		spans.Compact(aired)
+	}
 	if resume {
 		if c, lerr := epoch.LoadCheckpoint(ckpt); lerr != nil {
 			fmt.Fprintf(w, "cold start: %v\n", lerr)
@@ -230,8 +237,7 @@ func runAsync(universe, hot, k, periods, perP, shift int, theta, decay float64, 
 			fmt.Fprintf(w, "cold start: %v\n", lerr)
 			reg = nil
 		} else {
-			aired, epochStart = c.Now, c.EpochStart
-			spans = append(spans, c.Spans...)
+			aired, spans = c.Now, c.Spans
 			cur, _, nextID, _, _ := reg.Snapshot()
 			fmt.Fprintf(w, "warm start: resumed epoch %d at slot %d (%d spans, next epoch %d)\n",
 				cur.ID, aired, len(spans), nextID)
@@ -239,8 +245,7 @@ func runAsync(universe, hot, k, periods, perP, shift int, theta, decay float64, 
 			// selection did not: promote it so the lifecycle stays monotone and
 			// let the station keep its relearned selection.
 			if entry, swapped := reg.TrySwap(); swapped {
-				spans = append(spans, epoch.Span{Start: aired, CycleLen: entry.Prog.CycleLen()})
-				epochStart = aired
+				swapIn(entry)
 				fmt.Fprintf(w, "warm start: promoted checkpointed pending epoch %d (hot set relearned)\n", entry.ID)
 			}
 		}
@@ -251,7 +256,7 @@ func runAsync(universe, hot, k, periods, perP, shift int, theta, decay float64, 
 		if err != nil {
 			return err
 		}
-		spans = []epoch.Span{{Start: 0, CycleLen: station.Schedule().Program().CycleLen()}}
+		spans = sim.History{{Start: 0, CycleLen: station.Schedule().Program().CycleLen()}}
 	}
 	// The planner snapshot: the selection the next build should plan for,
 	// and the schedule that build produced (installed only when its epoch
@@ -319,8 +324,7 @@ func runAsync(universe, hot, k, periods, perP, shift int, theta, decay float64, 
 		// swap, one period behind the demand that justified it.
 		entry, swapped := reg.TrySwap()
 		if swapped {
-			spans = append(spans, epoch.Span{Start: aired, CycleLen: entry.Prog.CycleLen()})
-			epochStart = aired
+			swapIn(entry)
 			pmu.Lock()
 			done := built
 			pmu.Unlock()
@@ -367,7 +371,7 @@ func runAsync(universe, hot, k, periods, perP, shift int, theta, decay float64, 
 		// checkpoint the registry so a killed station warm-starts here.
 		aired += entry.Prog.CycleLen()
 		if ckpt != "" {
-			if err := epoch.WriteCheckpoint(ckpt, reg.CheckpointState(aired, epochStart, spans)); err != nil {
+			if err := epoch.WriteCheckpoint(ckpt, reg.CheckpointState(aired, spans)); err != nil {
 				return err
 			}
 		}

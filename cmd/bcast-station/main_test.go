@@ -3,6 +3,8 @@ package main
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/epoch"
 )
 
 func TestStationLoopShiftsHotSet(t *testing.T) {
@@ -91,6 +93,33 @@ func TestStationCheckpointResume(t *testing.T) {
 	if !strings.Contains(out, "registry: 8 staged, 7 swapped") {
 		t.Fatalf("lifecycle counters did not continue past the checkpoint:\n%s", out)
 	}
+	// The checkpoint stays one span long however many swaps land (the
+	// station has no clients to re-request a past slot), and a resume
+	// from it still continues the epoch IDs.
+	long := t.TempDir() + "/long.ckpt"
+	var many strings.Builder
+	if err := runAsync(30, 5, 2, 20, 400, 10, 0.9, 0.4, 1, long, false, &many, nil); err != nil {
+		t.Fatalf("%v\noutput:\n%s", err, many.String())
+	}
+	if !strings.Contains(many.String(), "registry: 20 staged, 19 swapped") {
+		t.Fatalf("long run did not swap every period:\n%s", many.String())
+	}
+	c, err := epoch.LoadCheckpoint(long)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(c.Spans) != 1 {
+		t.Fatalf("checkpoint after 19 swaps holds %d spans, want 1", len(c.Spans))
+	}
+	var resumed strings.Builder
+	if err := runAsync(30, 5, 2, 1, 400, 10, 0.9, 0.4, 2, long, true, &resumed, nil); err != nil {
+		t.Fatalf("%v\noutput:\n%s", err, resumed.String())
+	}
+	if !strings.Contains(resumed.String(), "warm start: resumed epoch 20 at slot") ||
+		!strings.Contains(resumed.String(), "(1 spans, next epoch 22)") {
+		t.Fatalf("resume from the compacted checkpoint did not continue epoch IDs:\n%s", resumed.String())
+	}
+
 	// A garbage file falls back to a cold start instead of failing the run.
 	bad := t.TempDir() + "/bad.ckpt"
 	if err := runAsync(30, 5, 2, 2, 400, 1, 0.9, 0.4, 1, bad, true, &strings.Builder{}, nil); err != nil {

@@ -39,14 +39,11 @@ var ErrCheckpoint = errors.New("epoch: invalid checkpoint")
 
 var ckptCRC = crc32.MakeTable(crc32.Castagnoli)
 
-// Span is one entry of the tower's span history: the program airing from
-// absolute slot Start had cycle length CycleLen. The span floor lets a
-// restored server keep answering catch-up requests for slots that
-// crossed old epochs.
-type Span struct {
-	Start    int
-	CycleLen int
-}
+// Span is one entry of the tower's span history (sim.History): the
+// program airing from absolute slot Start had cycle length CycleLen.
+// Checkpointing the history lets a restored server keep answering
+// catch-up requests for slots that crossed old epochs.
+type Span = sim.Span
 
 // Snapshot is one checkpointed epoch entry: the program shape plus its
 // exact wire packets, indexed [channel-1][slot-1].
@@ -383,12 +380,13 @@ func (r *Registry) Snapshot() (cur Entry, pending *Entry, nextID uint32, staged,
 }
 
 // CheckpointState assembles the registry's contribution to a checkpoint
-// taken at slot now with the given epoch start and span history.
-func (r *Registry) CheckpointState(now, epochStart int, spans []Span) *Checkpoint {
+// taken at slot now with the given span history, whose last span is the
+// active program's.
+func (r *Registry) CheckpointState(now int, spans []Span) *Checkpoint {
 	cur, pending, nextID, staged, swapped := r.Snapshot()
 	c := &Checkpoint{
 		Now:        now,
-		EpochStart: epochStart,
+		EpochStart: spans[len(spans)-1].Start,
 		Spans:      append([]Span(nil), spans...),
 		NextID:     nextID,
 		Staged:     staged,

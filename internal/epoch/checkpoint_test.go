@@ -193,8 +193,12 @@ func TestEncodeCheckpointRejectsBadState(t *testing.T) {
 		return c
 	}
 	cases := map[string]*Checkpoint{
-		"no-spans":         mutate(func(c *Checkpoint) { c.Spans = nil }),
-		"unsorted-spans":   mutate(func(c *Checkpoint) { c.Spans = []Span{{12, 6}, {0, 4}}; c.EpochStart = 0; c.Now = 0 }),
+		"no-spans": mutate(func(c *Checkpoint) { c.Spans = nil }),
+		"unsorted-spans": mutate(func(c *Checkpoint) {
+			c.Spans = []Span{{Start: 12, CycleLen: 6}, {Start: 0, CycleLen: 4}}
+			c.EpochStart = 0
+			c.Now = 0
+		}),
 		"start-mismatch":   mutate(func(c *Checkpoint) { c.EpochStart = 11 }),
 		"cycle-mismatch":   mutate(func(c *Checkpoint) { c.Spans[1].CycleLen = 7 }),
 		"now-before-start": mutate(func(c *Checkpoint) { c.Now = 11 }),
@@ -264,7 +268,7 @@ func TestRegistryCheckpointStateAndRestore(t *testing.T) {
 		t.Fatal(err)
 	}
 	L := p1.CycleLen()
-	c := r.CheckpointState(2*L, 0, []Span{{Start: 0, CycleLen: L}})
+	c := r.CheckpointState(2*L, []Span{{Start: 0, CycleLen: L}})
 	if c.Active.ID != 1 || c.Pending == nil || c.Pending.ID != 2 || c.NextID != 3 {
 		t.Fatalf("checkpoint state wrong: active %d pending %v next %d", c.Active.ID, c.Pending, c.NextID)
 	}

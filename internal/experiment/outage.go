@@ -52,14 +52,6 @@ type OutageSweepConfig struct {
 	DeadAir        int
 }
 
-// outagePlan is one replan the watchdog would stage: the survivor
-// program and the detection slot that triggered it.
-type outagePlan struct {
-	prog      *sim.Program
-	notBefore int
-	start     int
-}
-
 // ReplanPrograms builds one survivor program per watchdog detection
 // event: the catalog is re-solved onto the event's live channels and
 // the layout remapped back to full tower width, so a full-width tower
@@ -88,40 +80,25 @@ func ReplanPrograms(base *sim.Program, events []fault.LiveEvent, k int) ([]*sim.
 }
 
 // ReplanTimeline places a watchdog's replans on the adaptive timeline
-// exactly as the tower would put them on the air: each event stages its
-// survivor program at the detection slot, and a staged program is
-// replaced — never aired — when the next event fires before the staged
-// program's cycle-boundary swap slot, which is the epoch registry's
-// stage-replacement rule. Returns the timeline and how many replans
-// actually aired.
+// exactly as the tower puts them on the air: event i stages progs[i] at
+// its detection slot under the epoch ID the tower's registry would give
+// it, through sim.Timeline.Stage — so a staged program the next event
+// replaces before its swap slot never airs, as on the tower. Returns the
+// timeline and how many replans actually aired.
 func ReplanTimeline(base *sim.Program, events []fault.LiveEvent, progs []*sim.Program) (*sim.Timeline, int, error) {
 	if len(events) != len(progs) {
 		return nil, 0, fmt.Errorf("experiment: %d events but %d programs", len(events), len(progs))
-	}
-	var kept []outagePlan
-	for i, ev := range events {
-		prog := progs[i]
-		for len(kept) > 0 && ev.Slot <= kept[len(kept)-1].start {
-			kept = kept[:len(kept)-1]
-		}
-		ls, ll := 0, base.CycleLen()
-		if len(kept) > 0 {
-			top := kept[len(kept)-1]
-			ls, ll = top.start, top.prog.CycleLen()
-		}
-		start := ls + (ev.Slot-ls+ll-1)/ll*ll
-		kept = append(kept, outagePlan{prog: prog, notBefore: ev.Slot, start: start})
 	}
 	tl, err := sim.NewTimeline(base, 1)
 	if err != nil {
 		return nil, 0, err
 	}
-	for i, pl := range kept {
-		if _, err := tl.Append(pl.prog, uint32(i+2), pl.notBefore); err != nil {
+	for i, ev := range events {
+		if _, err := tl.Stage(progs[i], uint32(i+2), ev.Slot); err != nil {
 			return nil, 0, err
 		}
 	}
-	return tl, len(kept), nil
+	return tl, len(tl.Entries()) - 1, nil
 }
 
 // OutageSweep quantifies channel-outage tolerance end to end: seeded

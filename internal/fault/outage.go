@@ -3,7 +3,6 @@ package fault
 import (
 	"errors"
 	"fmt"
-	"sort"
 )
 
 // This file extends the lossy-channel model with whole-channel outages: a
@@ -127,56 +126,81 @@ type LiveEvent struct {
 	Live []int
 }
 
-// Detections replays the missed-tick watchdog over slots [0, horizon) and
-// returns every live-set change it would report. The detector is strictly
-// causal: its state entering slot t is a function of slots 0..t-1 only. A
-// channel is marked dark once its last watchdog consecutive transmitted
-// slots were all dark, and marked healthy again once its last watchdog
-// consecutive slots were all live — a symmetric debounce, so a one-slot
-// glitch in either direction never flaps the set.
-//
-// This is the pure-function twin of the netcast server's incremental
-// health tracker; the two are pinned equal by test, and the analytic
-// evaluators use Detections to place replans on the timeline at exactly
-// the slots the tower would trigger them.
-func (os Outages) Detections(channels, watchdog, horizon int) []LiveEvent {
-	if watchdog < 1 || channels < 1 || !os.Enabled() {
-		return nil
-	}
-	darkRun := make([]int, channels)
-	liveRun := make([]int, channels)
-	dark := make([]bool, channels)
-	var events []LiveEvent
-	for t := 1; t <= horizon; t++ {
-		// Account the transmission of slot t-1; the resulting state is the
-		// detector's view entering slot t.
-		changed := false
-		for ch := 1; ch <= channels; ch++ {
-			if os.DarkAt(ch, t-1) {
-				darkRun[ch-1]++
-				liveRun[ch-1] = 0
-			} else {
-				liveRun[ch-1]++
-				darkRun[ch-1] = 0
-			}
-			switch {
-			case !dark[ch-1] && darkRun[ch-1] >= watchdog:
-				dark[ch-1] = true
-				changed = true
-			case dark[ch-1] && liveRun[ch-1] >= watchdog:
-				dark[ch-1] = false
-				changed = true
+// Watchdog is the missed-tick detector, stepped one aired slot at a
+// time; its view entering slot t depends on slots before t only. A
+// channel's verdict flips once its last threshold slots all disagreed
+// with it: dark after threshold dark slots, healthy after threshold live
+// ones, so a shorter glitch in either direction never flaps the set. The
+// netcast tower steps one per aired slot and Detections loops one over a
+// horizon, so both place replans at the same slots by construction.
+type Watchdog struct {
+	outages   Outages
+	threshold int
+	dark      []bool // each channel's verdict
+	run       []int  // each channel's consecutive slots against its verdict
+	at        int    // the slot the view is of: every earlier one is accounted
+}
+
+// NewWatchdog starts a detector over the schedule for a tower of the
+// given channel count, with every channel healthy entering slot from.
+func NewWatchdog(os Outages, channels, threshold, from int) *Watchdog {
+	channels = max(channels, 0)
+	return &Watchdog{os, threshold, make([]bool, channels), make([]int, channels), from}
+}
+
+// Armed reports whether stepping can ever change the view.
+func (w *Watchdog) Armed() bool {
+	return w.threshold >= 1 && len(w.dark) > 0 && w.outages.Enabled()
+}
+
+// At returns the slot the view is of.
+func (w *Watchdog) At() int { return w.at }
+
+// Step accounts the transmission of slot At() and returns the next slot,
+// the one the new view is of, and whether any verdict changed. It calls
+// flip, when non-nil, for each channel that changed, in channel order.
+func (w *Watchdog) Step(flip func(ch, slot int, dark bool)) (int, bool) {
+	slot := w.at
+	w.at++
+	changed := false
+	for i := range w.dark {
+		if w.outages.DarkAt(i+1, slot) == w.dark[i] {
+			w.run[i] = 0
+			continue
+		}
+		if w.run[i]++; w.run[i] >= w.threshold {
+			w.dark[i], w.run[i], changed = !w.dark[i], 0, true
+			if flip != nil {
+				flip(i+1, w.at, w.dark[i])
 			}
 		}
-		if changed {
-			live := make([]int, 0, channels)
-			for ch := 1; ch <= channels; ch++ {
-				if !dark[ch-1] {
-					live = append(live, ch)
-				}
-			}
-			sort.Ints(live)
-			events = append(events, LiveEvent{Slot: t, Live: live})
+	}
+	return w.at, changed
+}
+
+// Live returns the sorted channels the detector believes healthy.
+func (w *Watchdog) Live() []int {
+	live := make([]int, 0, len(w.dark))
+	for i, d := range w.dark {
+		if !d {
+			live = append(live, i+1)
+		}
+	}
+	return live
+}
+
+// Detections replays the watchdog over slots [0, horizon) and returns
+// every live-set change it reports, each at the slot whose view it
+// changes: where the tower triggers a replan.
+func (os Outages) Detections(channels, watchdog, horizon int) []LiveEvent {
+	w := NewWatchdog(os, channels, watchdog, 0)
+	if !w.Armed() {
+		return nil
+	}
+	var events []LiveEvent
+	for w.At() < horizon {
+		if t, changed := w.Step(nil); changed {
+			events = append(events, LiveEvent{Slot: t, Live: w.Live()})
 		}
 	}
 	return events

@@ -34,8 +34,11 @@
 // inside the server debounces the same windows into live-set changes and
 // hands them to ServerOptions.OnLiveChange, so an operator loop can
 // replan the broadcast onto the surviving channels and stage the result
-// for the next cycle-boundary swap; the analytic twin of the watchdog is
-// fault.Outages.Detections, and the two are pinned equal by test. Clients
+// for the next cycle-boundary swap. The tower's clock is the analytic
+// twin's: the watchdog is a fault.Watchdog, stepped once per aired slot
+// as fault.Outages.Detections steps it, and the epoch span history —
+// where a staged epoch lands, when a passed slot airs again — is a
+// sim.History, as in sim.Timeline. Clients
 // arm failover with Client.DeadAir: after that many consecutive unusable
 // reads on one channel they re-tune to their current belief of the root
 // channel (refreshed from the RootChannel stamp of every bucket they
@@ -48,7 +51,6 @@ import (
 	"fmt"
 	"math"
 	"net"
-	"sort"
 	"sync"
 	"time"
 
@@ -159,14 +161,11 @@ type Server struct {
 	cond    *sync.Cond
 	prog    *sim.Program
 	packets [][][]byte
-	// epochStart is the absolute slot the current program took the air;
-	// the on-air cycle slot is (now-epochStart) mod CycleLen + 1.
-	epochStart int
-	// spans records every epoch's start slot and cycle length so the
-	// cyclic catch-up of a re-requested past slot bumps by the cycle
-	// length of the epoch that aired it — the rule the analytic timeline
-	// simulator applies, keeping the two in lockstep.
-	spans   []span
+	// spans is the epoch span history the catch-up of a re-requested
+	// past slot and the swap landing read; its last span is the program
+	// on the air. Swaps compact it down to what live connections can
+	// still re-request.
+	spans   sim.History
 	swaps   int
 	now     int
 	conns   map[net.Conn]*connState
@@ -185,15 +184,11 @@ type Server struct {
 	warm       bool
 	boundaries int
 
-	// Channel health tracking: the incremental twin of
-	// fault.Outages.Detections. darkRun/liveRun count consecutive dark and
-	// live slots per channel, darkCh is the debounced verdict, and
-	// healthAt is the first slot not yet accounted — the tracker's state
-	// entering slot healthAt is a function of slots 0..healthAt-1 only,
-	// exactly like the analytic detector.
-	darkRun, liveRun []int
-	darkCh           []bool
-	healthAt         int
+	// dog is the missed-tick watchdog over ServerOptions.Outages. Its
+	// width is the channel count, which epoch swaps preserve (the
+	// registry enforces it, and survivor replans are remapped back to
+	// full width).
+	dog *fault.Watchdog
 
 	om serverObs
 
@@ -242,78 +237,16 @@ func newServerObs(r *obs.Registry) serverObs {
 	}
 }
 
-// span is one epoch's tenure on the slot axis.
-type span struct {
-	start, cycleLen int
-}
-
-// spanAt returns the index of the epoch span that aired slot: the last
-// span starting at or before it. Slots older than the compacted history
-// resolve to the oldest retained span — by construction no live,
-// protocol-following connection can still re-request one (see
-// compactSpansLocked).
-func (s *Server) spanAt(slot int) int {
-	return max(sort.Search(len(s.spans), func(i int) bool { return s.spans[i].start > slot })-1, 0)
-}
-
-// catchUpLocked maps a requested slot to the slot that serves it: the
-// slot itself if it has not aired yet, otherwise its next cyclic
-// occurrence — bumping by the cycle length of whichever epoch aired each
-// passed occurrence, the rule the analytic timeline simulator applies.
-// Each retained span costs one rounding step, so a client asking for
-// slot 0 late in a run holds the lock (and the broadcast clock) for
-// O(spans), not O((now-slot)/cycleLen).
-func (s *Server) catchUpLocked(slot int) int {
-	i := s.spanAt(slot)
-	for slot < s.now {
-		// Round up within span i, stopping at the clock or at the next
-		// span's start, whichever comes first.
-		end := s.now
-		if i+1 < len(s.spans) {
-			end = min(end, s.spans[i+1].start)
-		}
-		l := s.spans[i].cycleLen
-		slot += (end - slot + l - 1) / l * l
-		for i+1 < len(s.spans) && s.spans[i+1].start <= slot {
-			i++
-		}
-	}
-	return slot
-}
-
-// compactSpansLocked drops epoch spans no live connection can still
-// re-request a slot from, bounding the history an adaptive server keeps
-// across swaps (it used to grow one entry per swap, forever).
-//
-// The floor is the oldest slot any live connection may still ask for: a
-// connection attached at slot T never requests a slot before T (a radio
-// cannot arrive in the past), and within a session every request is at
-// or after the last slot it requested — a retry re-requests the slot it
-// just heard garbage on, a descent or sync only moves forward — so each
-// connection's floor is raised to every slot it requests. Spans entirely
-// below min(floor) can never influence another catch-up and are dropped;
-// the span containing the floor and everything after it are kept. With
-// no connections the floor is the broadcast clock itself.
-func (s *Server) compactSpansLocked() {
-	floor := s.now
-	for _, st := range s.conns {
-		if st.floor < floor {
-			floor = st.floor
-		}
-	}
-	if i := s.spanAt(floor); i > 0 {
-		s.spans = append(s.spans[:0], s.spans[i:]...)
-	}
-	s.om.spans.Set(int64(len(s.spans)))
-}
-
 type connState struct {
 	hasPending bool
 	channel    int
 	slot       int
 	// floor is the oldest slot this connection may still request: the
-	// clock at attach, raised to every slot it has requested since. It
-	// lower-bounds the span history the server must retain.
+	// clock at attach (a radio cannot arrive in the past), raised to every
+	// slot it has requested since (a retry re-requests the slot it just
+	// heard garbage on; a descent or sync only moves forward). Spans that
+	// ended before every connection's floor can never serve a catch-up
+	// again, so a swap compacts them away.
 	floor int
 	// idleSince is when the connection last became request-less; the
 	// Grace eviction clock measures from here.
@@ -333,18 +266,6 @@ func NewServerOpts(p *sim.Program, opts ServerOptions) (*Server, error) {
 		return nil, err
 	}
 	return NewAdaptiveServer(reg, opts)
-}
-
-// initHealth sizes the channel health tracker. Epoch swaps preserve the
-// channel count (the registry enforces it, and survivor replans are
-// remapped back to full width), so the width fixed here holds for the
-// server's lifetime.
-func (s *Server) initHealth() {
-	k := s.prog.Channels()
-	s.darkRun = make([]int, k)
-	s.liveRun = make([]int, k)
-	s.darkCh = make([]bool, k)
-	s.om.live.Set(int64(k))
 }
 
 // NewAdaptiveServer serves the registry's current epoch and promotes a
@@ -377,9 +298,15 @@ func NewAdaptiveServer(reg *epoch.Registry, opts ServerOptions) (*Server, error)
 	if !s.warm {
 		cur := reg.Current()
 		s.prog, s.packets = cur.Prog, cur.Packets
-		s.spans = []span{{0, cur.Prog.CycleLen()}}
+		s.spans = sim.History{{Start: 0, CycleLen: cur.Prog.CycleLen()}}
 	}
-	s.initHealth()
+	// After a warm start the watchdog starts accounting at the restored
+	// clock: the darkness of slots aired before the crash was already
+	// detected (and any replan it triggered was checkpointed), so
+	// replaying it would re-fire OnLiveChange for transitions the
+	// operator already handled.
+	s.dog = fault.NewWatchdog(s.opts.Outages, s.prog.Channels(), s.opts.Watchdog, s.now)
+	s.om.live.Set(int64(s.prog.Channels()))
 	s.cond = sync.NewCond(&s.mu)
 	return s, nil
 }
@@ -403,17 +330,8 @@ func (s *Server) tryWarmStart(path string) {
 	s.reg = reg
 	s.prog, s.packets = cur.Prog, cur.Packets
 	s.now = c.Now
-	s.epochStart = c.EpochStart
-	s.spans = make([]span, len(c.Spans))
-	for i, sp := range c.Spans {
-		s.spans[i] = span{sp.Start, sp.CycleLen}
-	}
+	s.spans = c.Spans
 	s.swaps = c.Swapped
-	// The health tracker starts accounting at the restored clock: the
-	// darkness of slots aired before the crash was already detected (and
-	// any replan it triggered was checkpointed), so replaying it would
-	// re-fire OnLiveChange for transitions the operator already handled.
-	s.healthAt = c.Now
 	s.warm = true
 	s.om.warmStarts.Inc()
 	s.om.reg.Emit("warm_start",
@@ -500,7 +418,7 @@ func (s *Server) handle(conn net.Conn) {
 		if !st.hasPending {
 			s.waiting--
 		}
-		slot = s.catchUpLocked(slot)
+		slot = s.spans.CatchUp(slot, s.now)
 		s.nextDue = min(s.nextDue, slot)
 		st.hasPending = true
 		st.channel = channel
@@ -559,7 +477,7 @@ func (s *Server) evictSilentLocked() time.Duration {
 // program: the only slots where a staged epoch can swap in or a
 // checkpoint can be taken.
 func (s *Server) boundaryLocked(now int) bool {
-	return (now-s.epochStart)%s.prog.CycleLen() == 0
+	return s.spans.Boundary(now) == now
 }
 
 // boundaryWorkLocked reports whether slot now is a cycle boundary with
@@ -626,11 +544,20 @@ func (s *Server) Tick() error {
 		s.mu.Unlock()
 		return nil
 	}
-	// Account every slot that has aired since the last tick into the
-	// channel health tracker — before the swap check, so a program staged
-	// by the OnLiveChange callback can land at this very slot if it is a
+	// Step the watchdog over every slot aired since the last tick, so its
+	// view is of slot now — before the swap check, so a program staged by
+	// the OnLiveChange callback can land at this very slot if it is a
 	// cycle boundary.
-	s.updateHealthLocked()
+	for s.dog.Armed() && s.dog.At() < now {
+		if t, changed := s.dog.Step(s.flipLocked); changed {
+			live := s.dog.Live()
+			s.om.live.Set(int64(len(live)))
+			if s.opts.OnLiveChange != nil {
+				s.om.replans.Inc()
+				s.opts.OnLiveChange(live, t)
+			}
+		}
+	}
 	// A staged epoch lands exactly at a cycle boundary of the outgoing
 	// program — the no-mid-cycle-swap invariant (DESIGN.md §8). The swap
 	// replaces what subsequent slots carry; it never stalls or skips the
@@ -638,12 +565,17 @@ func (s *Server) Tick() error {
 	if s.boundaryLocked(now) {
 		if e, swapped := s.reg.TrySwap(); swapped {
 			s.prog, s.packets = e.Prog, e.Packets
-			s.epochStart = now
-			s.spans = append(s.spans, span{now, e.Prog.CycleLen()})
+			s.spans = append(s.spans, sim.Span{Start: now, CycleLen: e.Prog.CycleLen()})
 			s.swaps++
 			// Swap time is when stale spans retire: compact the history
-			// down to what live connections can still re-request.
-			s.compactSpansLocked()
+			// down to the oldest slot a live connection may still request,
+			// the clock itself when none is attached.
+			floor := now
+			for _, st := range s.conns {
+				floor = min(floor, st.floor)
+			}
+			s.spans.Compact(floor)
+			s.om.spans.Set(int64(len(s.spans)))
 			s.om.swaps.Inc()
 			s.om.reg.Emit("swap",
 				obs.A("epoch", int64(e.ID)),
@@ -664,6 +596,7 @@ func (s *Server) Tick() error {
 	var due []delivery
 	var delivered time.Time
 	next := math.MaxInt
+	onAir := s.spans[len(s.spans)-1]
 	for conn, st := range s.conns {
 		if !st.hasPending {
 			continue
@@ -672,7 +605,7 @@ func (s *Server) Tick() error {
 			next = min(next, st.slot)
 			continue
 		}
-		cycleSlot := (now-s.epochStart)%s.prog.CycleLen() + 1
+		cycleSlot := (now-onAir.Start)%onAir.CycleLen + 1
 		payload := s.packets[st.channel-1][cycleSlot-1]
 		// The fault outcome is drawn even on a dark slot, as the analytic
 		// twin draws it. A dark channel transmits dead air: the client
@@ -753,51 +686,16 @@ func (s *Server) Tick() error {
 	return nil
 }
 
-// updateHealthLocked advances the missed-tick watchdog over the slots
-// that have aired since it last ran: slot t-1's transmission is accounted
-// when the clock reaches t, so the tracker's verdict entering slot t
-// depends on slots 0..t-1 only — the exact semantics of the analytic
-// fault.Outages.Detections, which tests pin this tracker against. On
-// every live-set change the watchdog updates the channels_live gauge and
-// hands the surviving channels to the OnLiveChange replan hook.
-func (s *Server) updateHealthLocked() {
-	w := s.opts.Watchdog
-	if w < 1 || !s.opts.Outages.Enabled() {
-		return
+// flipLocked records one channel's watchdog verdict change entering slot.
+func (s *Server) flipLocked(ch, slot int, dark bool) {
+	c, at := obs.A("channel", int64(ch)), obs.A("slot", int64(slot))
+	if dark {
+		s.om.outages.Inc()
+		s.om.reg.Emit("outage", c, at)
+	} else {
+		s.om.recoveries.Inc()
+		s.om.reg.Emit("recovery", c, at)
 	}
-	for t := s.healthAt + 1; t <= s.now; t++ {
-		changed := false
-		for ch := 1; ch <= len(s.darkCh); ch++ {
-			if s.opts.Outages.DarkAt(ch, t-1) {
-				s.darkRun[ch-1]++
-				s.liveRun[ch-1] = 0
-			} else {
-				s.liveRun[ch-1]++
-				s.darkRun[ch-1] = 0
-			}
-			switch {
-			case !s.darkCh[ch-1] && s.darkRun[ch-1] >= w:
-				s.darkCh[ch-1] = true
-				changed = true
-				s.om.outages.Inc()
-				s.om.reg.Emit("outage", obs.A("channel", int64(ch)), obs.A("slot", int64(t)))
-			case s.darkCh[ch-1] && s.liveRun[ch-1] >= w:
-				s.darkCh[ch-1] = false
-				changed = true
-				s.om.recoveries.Inc()
-				s.om.reg.Emit("recovery", obs.A("channel", int64(ch)), obs.A("slot", int64(t)))
-			}
-		}
-		if changed {
-			live := s.liveLocked()
-			s.om.live.Set(int64(len(live)))
-			if s.opts.OnLiveChange != nil {
-				s.om.replans.Inc()
-				s.opts.OnLiveChange(live, t)
-			}
-		}
-	}
-	s.healthAt = s.now
 }
 
 // checkpointLocked assembles the recovery state to persist for slot now,
@@ -819,22 +717,7 @@ func (s *Server) checkpointLocked(now int) *epoch.Checkpoint {
 	if !due {
 		return nil
 	}
-	spans := make([]epoch.Span, len(s.spans))
-	for i, sp := range s.spans {
-		spans[i] = epoch.Span{Start: sp.start, CycleLen: sp.cycleLen}
-	}
-	return s.reg.CheckpointState(now, s.epochStart, spans)
-}
-
-// liveLocked returns the sorted channels the watchdog believes healthy.
-func (s *Server) liveLocked() []int {
-	live := make([]int, 0, len(s.darkCh))
-	for ch := 1; ch <= len(s.darkCh); ch++ {
-		if !s.darkCh[ch-1] {
-			live = append(live, ch)
-		}
-	}
-	return live
+	return s.reg.CheckpointState(now, s.spans)
 }
 
 // ChannelsLive returns the channels the watchdog currently believes
@@ -842,7 +725,7 @@ func (s *Server) liveLocked() []int {
 func (s *Server) ChannelsLive() []int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.liveLocked()
+	return s.dog.Live()
 }
 
 // Run ticks the server the given number of slots.

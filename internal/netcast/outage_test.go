@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/epoch"
+	"repro/internal/experiment"
 	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/sim"
@@ -18,7 +19,7 @@ import (
 // watchdog inside the server must agree event for event with its analytic
 // twin fault.Outages.Detections, and a client failing over across dead
 // channels — with and without a survivor replan riding a hot swap — must
-// report Metrics byte-identical to sim's Timeline.QueryOutage under the
+// report Metrics byte-identical to sim's Timeline.QuerySwitch under the
 // identical outage schedule, including the Failovers count and the
 // fault.ErrRetryBudget terminal condition.
 
@@ -273,7 +274,7 @@ func outageTower(t testing.TB, p1 *sim.Program, progs []*sim.Program, opts Serve
 // replanned onto the survivor (moving the index root to channel 2) and
 // hot-swapped at a cycle boundary; when the channel recovers, a
 // full-width replan swaps back. Every (arrival, key) session over the
-// whole horizon must match sim's Timeline.QueryOutage byte for byte —
+// whole horizon must match sim's Timeline.QuerySwitch byte for byte —
 // including sessions whose descent straddles an outage AND a swap.
 func TestOutageDuringSwapMatchesTimeline(t *testing.T) {
 	p1 := compiled(t, 8, 2, 31, true)
@@ -341,6 +342,100 @@ func TestOutageDuringSwapMatchesTimeline(t *testing.T) {
 	}
 	if live := s.ChannelsLive(); !reflect.DeepEqual(live, []int{1, 2}) {
 		t.Fatalf("live set %v after recovery", live)
+	}
+}
+
+// TestOutageStageReplacementMatchesReplanTimeline pins the registry's
+// stage-replacement rule on the tower to experiment.ReplanTimeline. Two
+// windows each put two detections inside one cycle of the outgoing
+// program: the first window's recovery fires exactly at the pending
+// survivor's swap slot, the second's strictly before it. Each time the
+// recovery replan replaces the survivor, which never airs. The tower's
+// swap slots and Swaps must equal the timeline's entries, and every
+// (arrival, key) session must match QuerySwitch on it.
+func TestOutageStageReplacementMatchesReplanTimeline(t *testing.T) {
+	p1 := compiled(t, 8, 2, 31, true)
+	L := p1.CycleLen()
+	const w = 2
+	if L < 2*w+4 {
+		t.Fatalf("cycle length %d too short for the schedule", L)
+	}
+	out := fault.Outages{
+		{Channel: 1, StartSlot: 2*L + 1, EndSlot: 3*L - w},
+		{Channel: 2, StartSlot: 5*L + 2, EndSlot: 5*L + 3 + w},
+	}
+	horizon := 8 * L
+	events := out.Detections(p1.Channels(), w, horizon)
+	if len(events) != 4 {
+		t.Fatalf("expected two dark+recovery pairs, got %v", events)
+	}
+	progs, err := experiment.ReplanPrograms(p1, events, p1.Channels())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tl, replans, err := experiment.ReplanTimeline(p1, events, progs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries := tl.Entries()
+	if replans != 2 || len(entries) != 3 {
+		t.Fatalf("%d replans aired (%d entries), want the 2 recoveries", replans, len(entries))
+	}
+	// The first recovery is detected at the very slot the survivor staged
+	// before it was due to swap in; the second, strictly before it.
+	if entries[1].Start != events[1].Slot || events[1].Slot != 3*L {
+		t.Fatalf("first recovery at %d lands at %d, want both at %d", events[1].Slot, entries[1].Start, 3*L)
+	}
+	if events[3].Slot >= entries[2].Start || entries[2].Start-events[2].Slot > entries[1].Prog.CycleLen() {
+		t.Fatalf("second pair %v, %v not inside the cycle before swap slot %d", events[2], events[3], entries[2].Start)
+	}
+
+	// A clientless run to the horizon: the tower swaps exactly where the
+	// timeline does.
+	r := obs.New()
+	opts := ServerOptions{Outages: out, Watchdog: w}
+	ro := opts
+	ro.Obs = r
+	s := outageTower(t, p1, progs, ro)
+	if err := s.Run(horizon); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	var swapSlots, wantSlots []int
+	for _, e := range r.Events(0) {
+		if e.Kind != "swap" {
+			continue
+		}
+		for _, a := range e.Attrs {
+			if a.Key == "slot" {
+				swapSlots = append(swapSlots, int(a.Val))
+			}
+		}
+	}
+	for _, e := range entries[1:] {
+		wantSlots = append(wantSlots, e.Start)
+	}
+	if !reflect.DeepEqual(swapSlots, wantSlots) || s.Swaps() != len(wantSlots) {
+		t.Fatalf("tower swapped at %v (%d swaps), timeline at %v", swapSlots, s.Swaps(), wantSlots)
+	}
+
+	oc := sim.FaultConfig{Outages: out, MaxRetries: 64, DeadAir: w}
+	for arrival := 0; arrival < 7*L; arrival++ {
+		for key := int64(1); key <= 8; key++ {
+			wantM, wantFound, wantErr := tl.QuerySwitch(arrival, key, pw, oc)
+			s := outageTower(t, p1, progs, opts)
+			c := pipeClient(t, s)
+			c.MaxRetries, c.DeadAir, c.Channels = oc.MaxRetries, oc.DeadAir, p1.Channels()
+			done := make(chan outageOutcome, 1)
+			go func() {
+				found, _, m, err := c.Lookup(arrival, key, pw)
+				done <- outageOutcome{found, m, err}
+			}()
+			got := driveUntil(t, s, done)
+			c.Close()
+			s.Close()
+			checkOutcome(t, "stage replacement", got, wantM, wantFound, wantErr)
+		}
 	}
 }
 

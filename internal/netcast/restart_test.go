@@ -23,7 +23,7 @@ import (
 // resume airing at the checkpointed boundary, and a client session that
 // observed the dropped socket must reconnect under the seeded backoff
 // and finish with Metrics byte-identical to the analytic twin
-// sim.Timeline.QueryRestart under the identical (seed, downtime
+// sim.Timeline.QuerySwitch under the identical (seed, downtime
 // schedule, backoff) — including the Reconnects count and the
 // fault.ErrRetryBudget terminal condition.
 
@@ -370,7 +370,7 @@ func TestWarmStartCorruptFallsBackCold(t *testing.T) {
 // TestRestartLookupMatchesTwin is the tentpole cross-check: for every
 // arrival phase and key, a lookup that rides through a station kill and
 // warm restart over a real socket reports Metrics byte-identical to
-// sim.Program.QueryRestart under the identical (fault seed, downtime
+// sim.Timeline.QuerySwitch under the identical (fault seed, downtime
 // schedule, backoff seed) — on a perfect medium and on a lossy one with
 // channel failover armed.
 func TestRestartLookupMatchesTwin(t *testing.T) {

@@ -8,7 +8,6 @@ import (
 	"math"
 	"math/rand"
 	"net"
-	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -16,94 +15,6 @@ import (
 	"repro/internal/epoch"
 	"repro/internal/sim"
 )
-
-// catchUpLoop is the cyclic catch-up as the server first computed it: one
-// cycle of the epoch that aired slot per iteration, O((now-slot)/cycleLen)
-// steps. It is the oracle catchUpLocked is pinned against.
-func catchUpLoop(spans []span, now, slot int) int {
-	for slot < now {
-		i := max(sort.Search(len(spans), func(i int) bool { return spans[i].start > slot })-1, 0)
-		slot += spans[i].cycleLen
-	}
-	return slot
-}
-
-// catchUpAt sets the server's clock and span history and returns the slot
-// a request for slot is served at.
-func catchUpAt(s *Server, spans []span, now, slot int) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.spans = append([]span(nil), spans...)
-	s.now = now
-	return s.catchUpLocked(slot)
-}
-
-// TestCatchUpMatchesLoop pins the arithmetic catch-up to the iterative
-// oracle on a static server's single span and on random multi-span
-// histories of an adaptive one, with clocks up to past 10^7 slots,
-// requests for slot 0, and requests on every span edge.
-func TestCatchUpMatchesLoop(t *testing.T) {
-	p := compiled(t, 8, 2, 3, false)
-	static, err := NewServerOpts(p, ServerOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer static.Close()
-	reg, err := epoch.NewRegistry(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	adaptive, err := NewAdaptiveServer(reg, ServerOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer adaptive.Close()
-
-	rng := rand.New(rand.NewSource(11))
-	check := func(s *Server, spans []span, now, slot int) {
-		t.Helper()
-		got := catchUpAt(s, spans, now, slot)
-		if want := catchUpLoop(spans, now, slot); got != want {
-			t.Fatalf("spans %v, clock %d, request %d: served at %d, want %d", spans, now, slot, got, want)
-		}
-	}
-	staticSpans := []span{{0, p.CycleLen()}}
-	for _, now := range []int{0, 1, 7, 1000, 10_000_000, 10_000_019} {
-		for _, slot := range []int{0, 1, now / 2, now - 1, now, now + 5} {
-			if slot >= 0 {
-				check(static, staticSpans, now, slot)
-			}
-		}
-	}
-	for trial := 0; trial < 2000; trial++ {
-		// A history of 1-6 spans with distinct starts and cycle lengths of
-		// 1-40 slots; the first span may start after slot 0 (compacted).
-		n := 1 + rng.Intn(6)
-		spans := make([]span, n)
-		start := 0
-		if rng.Intn(2) == 0 {
-			start = rng.Intn(500)
-		}
-		for i := range spans {
-			spans[i] = span{start, 1 + rng.Intn(40)}
-			start += 1 + rng.Intn(300)
-		}
-		last := spans[n-1].start
-		now := last + rng.Intn(400)
-		if trial%100 == 0 {
-			now = 10_000_000 + rng.Intn(1000)
-		}
-		slots := []int{0, now - 1, now, now + rng.Intn(50), rng.Intn(now + 1)}
-		for _, sp := range spans {
-			slots = append(slots, sp.start-1, sp.start, sp.start+1)
-		}
-		for _, slot := range slots {
-			if slot >= 0 {
-				check(adaptive, spans, now, slot)
-			}
-		}
-	}
-}
 
 // churnSession attaches one connection and plays a seeded script against
 // the tower: a few requests for past, present and future slots, each

@@ -24,8 +24,11 @@ type Entry struct {
 
 // Timeline is a broadcast schedule over absolute time: a sequence of
 // epochs, each serving its program cyclically until the next swap.
+// spans[i] is entries[i]'s tenure: the history the tower keeps, here
+// never compacted.
 type Timeline struct {
 	entries []Entry
+	spans   History
 }
 
 // NewTimeline starts a timeline broadcasting p as the given epoch from
@@ -34,7 +37,10 @@ func NewTimeline(p *Program, epoch uint32) (*Timeline, error) {
 	if p == nil {
 		return nil, fmt.Errorf("sim: nil program")
 	}
-	return &Timeline{entries: []Entry{{Epoch: epoch, Prog: p, Start: 0}}}, nil
+	return &Timeline{
+		entries: []Entry{{Epoch: epoch, Prog: p, Start: 0}},
+		spans:   History{{Start: 0, CycleLen: p.cycleLen}},
+	}, nil
 }
 
 // Append stages the next epoch: p takes the air at the first cycle
@@ -59,10 +65,22 @@ func (tl *Timeline) Append(p *Program, epoch uint32, notBefore int) (int, error)
 		return 0, fmt.Errorf("sim: epoch %d staged at slot %d before its predecessor aired (start %d)",
 			epoch, notBefore, last.Start)
 	}
-	L := last.Prog.CycleLen()
-	start := last.Start + (notBefore-last.Start+L-1)/L*L
+	start := tl.spans.Boundary(notBefore)
 	tl.entries = append(tl.entries, Entry{Epoch: epoch, Prog: p, Start: start})
+	tl.spans = append(tl.spans, Span{Start: start, CycleLen: p.cycleLen})
 	return start, nil
+}
+
+// Stage puts p on the timeline the way a tower stages it on its epoch
+// registry at slot at: a staged epoch whose swap slot is at or after at
+// has not aired yet, so p replaces it (the registry keeps at most one
+// pending epoch) and lands at the boundary of the program still on the
+// air. Otherwise Stage is Append. It returns the swap slot.
+func (tl *Timeline) Stage(p *Program, epoch uint32, at int) (int, error) {
+	if n := len(tl.entries); n > 1 && at <= tl.entries[n-1].Start {
+		tl.entries, tl.spans = tl.entries[:n-1], tl.spans[:n-1]
+	}
+	return tl.Append(p, epoch, at)
 }
 
 // Entries returns the timeline's epochs in air order.
@@ -70,18 +88,15 @@ func (tl *Timeline) Entries() []Entry { return tl.entries }
 
 // EntryAt returns the epoch on the air at absolute slot t.
 func (tl *Timeline) EntryAt(t int) Entry {
-	i := len(tl.entries) - 1
-	for i > 0 && tl.entries[i].Start > t {
-		i--
-	}
-	return tl.entries[i]
+	return tl.entries[tl.spans.At(t)]
 }
 
 // CycleSlot maps absolute slot t to the on-air epoch and its 1-based
 // cycle slot.
 func (tl *Timeline) CycleSlot(t int) (Entry, int) {
-	e := tl.EntryAt(t)
-	return e, (t-e.Start)%e.Prog.CycleLen() + 1
+	i := tl.spans.At(t)
+	sp := tl.spans[i]
+	return tl.entries[i], (t-sp.Start)%sp.CycleLen + 1
 }
 
 // QuerySwitch retrieves the data item with the given key from the

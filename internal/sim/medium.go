@@ -12,8 +12,7 @@ import (
 // the medium half of a FaultConfig, exactly as the netcast tower and its
 // fault injectors would serve it.
 //
-//   - A passed slot is served at its next airing: one cycle of whichever
-//     epoch owns it, repeated until it reaches the radio's clock — the
+//   - A passed slot is served at its next airing: History.CatchUp, the
 //     catch-up the tower performs for a late request.
 //   - A station crash between the connection's birth and the serve slot
 //     (Downtimes.KillIn) drops the connection before the frame arrives.
@@ -27,9 +26,10 @@ import (
 // checkpoint cadence moves only wall-clock recovery cost.
 type air struct {
 	tl Timeline
-	// one backs tl for a static program.
-	one [1]Entry
-	env *FaultConfig
+	// one and oneSpan back tl for a static program.
+	one     [1]Entry
+	oneSpan [1]Span
+	env     *FaultConfig
 	// clock is one past the last slot this radio was served: a request
 	// below it has passed.
 	clock int
@@ -52,16 +52,14 @@ func (p *Program) radio(env *FaultConfig) *air {
 // by the radio's own storage so that it allocates nothing.
 func (a *air) tune(p *Program) Timeline {
 	a.one[0] = Entry{Prog: p}
-	return Timeline{entries: a.one[:]}
+	a.oneSpan[0] = Span{CycleLen: p.cycleLen}
+	return Timeline{entries: a.one[:], spans: a.oneSpan[:]}
 }
 
 // Hear implements Medium.
 func (a *air) Hear(ch, slot int) *Reply {
 	r := &a.reply
-	served := slot
-	for served < a.clock {
-		served += a.tl.EntryAt(served).Prog.cycleLen
-	}
+	served := a.tl.spans.CatchUp(slot, a.clock)
 	if win, ok := a.env.Downtimes.KillIn(a.born, served); ok {
 		a.killed = win
 		*r = Reply{Status: Dropped, Slot: slot}

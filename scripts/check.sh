@@ -17,9 +17,11 @@
 #               that loses once in a few runs shows up as a failure here)
 #   soak        outage + crash-restart soaks under -race (50 kill/revive
 #               cycles each: channel outages, then station SIGKILL/warm
-#               restart; leak-free, sim-twin byte-identical), and the
-#               lossy-medium twin tests under -race, -count=10 (Tick and
-#               the delivery goroutines decide every frame's fault)
+#               restart; leak-free, sim-twin byte-identical), and under
+#               -race, -count=10: the lossy-medium twin tests (Tick and the
+#               delivery goroutines decide every frame's fault) and the
+#               outage-replan twin tests (Tick steps the shared watchdog
+#               and lands swaps while OnLiveChange stages on the registry)
 #   fuzz        scripts/fuzz.sh                (every fuzz target, 5s each)
 #   perf        go test -run '^$' -bench . -benchtime 1x ./...
 #               (every benchmark once: a broken benchmark fails the gate)
@@ -76,7 +78,7 @@ go test -count=50 -run TestLiveRestart ./cmd/bcast-live
 
 echo "== soak =="
 go test -race -run 'TestOutageSoak|TestCrashRestartSoak' -count=1 ./internal/netcast
-go test -race -count=10 -run 'TestFaulty|TestComposedFaultsMatchTwin' ./internal/netcast
+go test -race -count=10 -run 'TestFaulty|TestComposedFaultsMatchTwin|TestOutageDuringSwapMatchesTimeline|TestOutageStageReplacementMatchesReplanTimeline' ./internal/netcast
 
 echo "== fuzz =="
 sh scripts/fuzz.sh 5s
